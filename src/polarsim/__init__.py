@@ -1,6 +1,6 @@
 """Polar code library: construction, codecs, SC/SCL decoding and simulation."""
 
-from .channel import ChannelConfig, initial_metrics, modulate, noise_sigma2, transmit
+from .channel import initial_metrics, modulate, noise_sigma2
 from .codec import (CrcSpec, attach_crc, crc16_ccitt, crc_value, polar_encode,
                     scatter_info, verify_crc)
 from .construction import (PolarCode, SymbolPartition, bit_reversal_permutation,
@@ -9,13 +9,13 @@ from .costs import (CostReport, channel_combination_additions,
                     ml_detector_additions, sorting_network_cost)
 from .oracle import DenseCode, exhaustive_ml, exhaustive_symbol_metric
 from .pruning import Candidate, PruneProblem, exactness_check, full_prune, two_stage_prune
-from .sc import (channel_combine, max_star, sc_decode, symbol_sc_decode,
-                 transform_check, transform_combine)
+from .sc import (channel_combine, sc_decode, symbol_sc_decode, transform_check,
+                 transform_combine)
 from .scl import ca_scl_decode, scl_decode, symbol_scl_decode
 from .sim import FerRecord, SimConfig, run_campaign, run_point
 
 __all__ = [
-    "ChannelConfig", "initial_metrics", "modulate", "noise_sigma2", "transmit",
+    "initial_metrics", "modulate", "noise_sigma2",
     "CrcSpec", "attach_crc", "crc16_ccitt", "crc_value", "polar_encode",
     "scatter_info", "verify_crc",
     "PolarCode", "SymbolPartition", "bit_reversal_permutation",
@@ -25,7 +25,7 @@ __all__ = [
     "DenseCode", "exhaustive_ml", "exhaustive_symbol_metric",
     "Candidate", "PruneProblem", "exactness_check", "full_prune",
     "two_stage_prune",
-    "channel_combine", "max_star", "sc_decode", "symbol_sc_decode",
+    "channel_combine", "sc_decode", "symbol_sc_decode",
     "transform_check", "transform_combine",
     "ca_scl_decode", "scl_decode", "symbol_scl_decode",
     "FerRecord", "SimConfig", "run_campaign", "run_point",

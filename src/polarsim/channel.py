@@ -8,30 +8,8 @@ decisions are invariant under adding any constant to both entries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class ChannelConfig:
-    """AWGN channel operating point: Eb/N0 in dB, payload code rate, seed.
-
-    Worker RNG streams are derived with numpy SeedSequence spawning, which
-    guarantees independent non-overlapping streams per (seed, worker index).
-    """
-
-    ebn0_db: float
-    code_rate: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.code_rate <= 1.0:
-            raise ValueError(f"code_rate must be in (0, 1], got {self.code_rate}")
-
-    @property
-    def sigma2(self):
-        return noise_sigma2(self.ebn0_db, self.code_rate)
 
 
 def noise_sigma2(ebn0_db, code_rate):
@@ -44,15 +22,6 @@ def noise_sigma2(ebn0_db, code_rate):
 def modulate(bits):
     """Map bits to antipodal symbols: 0 -> +1.0, 1 -> -1.0."""
     return 1.0 - 2.0 * np.asarray(bits, dtype=np.float64)
-
-
-def transmit(symbols, cfg, rng):
-    """Add white Gaussian noise drawn from `rng` at the config's variance."""
-    symbols = np.asarray(symbols, dtype=np.float64)
-    sigma2 = cfg.sigma2
-    if sigma2 == 0.0:
-        return symbols.copy()
-    return symbols + rng.normal(0.0, math.sqrt(sigma2), size=symbols.shape)
 
 
 def initial_metrics(y, sigma2):

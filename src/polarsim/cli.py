@@ -8,7 +8,7 @@ import sys
 from .construction import construct_code
 from .costs import (channel_combination_additions, ml_detector_additions,
                     sorting_network_cost)
-from .sim import CSV_HEADER, SimConfig, run_campaign
+from .sim import CSV_HEADER, DECODERS, SimConfig, run_campaign
 
 
 def _parse_snr(text):
@@ -38,8 +38,7 @@ def _add_run_parser(sub):
                    help="block length N (a power of two)")
     p.add_argument("--k", type=int, required=True,
                    help="information bits (payload + CRC)")
-    p.add_argument("--decoder", choices=("sc", "ssc", "scl", "cascl", "sscl"),
-                   default="sc")
+    p.add_argument("--decoder", choices=DECODERS, default="sc")
     p.add_argument("--symbol-bits", type=int, default=4,
                    help="symbol width M for ssc/sscl (power of two)")
     p.add_argument("--list", dest="list_size", type=int, default=4,
@@ -67,18 +66,21 @@ def _add_run_parser(sub):
     p.add_argument("--out", default=None, help="CSV output path")
 
 
-def _cmd_run(args):
+def _cmd_run(args, parser):
     start, step, stop = args.snr
     q = args.q if args.q > 0 else args.list_size
-    cfg = SimConfig(
-        n=args.n, K=args.k, decoder=args.decoder,
-        symbol_bits=args.symbol_bits, list_size=args.list_size,
-        stage1_keep=q, snr_start=start, snr_step=step, snr_stop=stop,
-        max_frames=args.frames, max_frame_errors=args.max_errors,
-        seed=args.seed, workers=args.workers, out=args.out,
-        design_snr_db=args.design_snr, frozen_file=args.frozen_file,
-        crc_width=args.crc_width, crc_poly=args.crc_poly,
-    )
+    try:
+        cfg = SimConfig(
+            n=args.n, K=args.k, decoder=args.decoder,
+            symbol_bits=args.symbol_bits, list_size=args.list_size,
+            stage1_keep=q, snr_start=start, snr_step=step, snr_stop=stop,
+            max_frames=args.frames, max_frame_errors=args.max_errors,
+            seed=args.seed, workers=args.workers, out=args.out,
+            design_snr_db=args.design_snr, frozen_file=args.frozen_file,
+            crc_width=args.crc_width, crc_poly=args.crc_poly,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     records = run_campaign(cfg)
     if not args.out:
         print(CSV_HEADER)
@@ -151,7 +153,7 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     if args.command == "run":
-        return _cmd_run(args)
+        return _cmd_run(args, parser)
     if args.command == "cost":
         return _cmd_cost(args)
     if args.command == "construct":

@@ -59,9 +59,7 @@ def scatter_info(code, info):
     info = np.asarray(info)
     if info.shape != (code.K,):
         raise ValueError(f"info must have length {code.K}, got shape {info.shape}")
-    u = np.zeros(code.N, dtype=np.int8)
-    u[code.info_set] = info
-    return u
+    return scatter_info_batch(code, info)
 
 
 def scatter_info_batch(code, info):
@@ -126,18 +124,18 @@ def crc_value(bits, spec):
     return reg ^ spec.xor_out
 
 
-def _value_to_bits(value, width):
-    """Integer(s) to width-bit arrays, MSB first."""
-    value = np.asarray(value)
+def int_to_bits(values, width):
+    """Integers to width-bit arrays, MSB first."""
+    values = np.asarray(values)
     shifts = np.arange(width - 1, -1, -1)
-    return ((value[..., None] >> shifts) & 1).astype(np.int8)
+    return ((values[..., None] >> shifts) & 1).astype(np.int8)
 
 
 def attach_crc(payload, spec):
     """Append the CRC of `payload` (MSB first), giving a self-checking block."""
     payload = np.asarray(payload)
     rem = crc_value(payload, spec)
-    return np.concatenate([payload.astype(np.int8), _value_to_bits(rem, spec.width)],
+    return np.concatenate([payload.astype(np.int8), int_to_bits(rem, spec.width)],
                           axis=-1)
 
 
@@ -150,7 +148,7 @@ def verify_crc(block, spec):
     if block.shape[-1] <= spec.width:
         raise ValueError("block shorter than CRC width")
     payload = block[..., : -spec.width]
-    expected = _value_to_bits(crc_value(payload, spec), spec.width)
+    expected = int_to_bits(crc_value(payload, spec), spec.width)
     return np.all(block[..., -spec.width :] == expected, axis=-1)
 
 

@@ -12,7 +12,7 @@ A symbol-based decode of width M = 2^m runs M component decoders of length
 N/M over contiguous received chunks, then combines their per-stage output
 pairs into 2^M-entry symbol tables with `channel_combine`. The decided
 symbol's re-encoded bits feed back into the component decoders' partial
-sums. For M = 1 this degenerates exactly to bit-based decoding.
+sums. Bit-based decoding is the case M = 1, and runs through the same loop.
 """
 
 from __future__ import annotations
@@ -21,46 +21,48 @@ from functools import lru_cache
 
 import numpy as np
 
-from .codec import encode_bits
+from .codec import encode_bits, int_to_bits
+from .construction import partition_symbols
 
 
-def max_star(a, b):
-    """Exact Jacobian logarithm: log(exp(a) + exp(b)), elementwise."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    return np.maximum(a, b) + np.log1p(np.exp(-np.abs(a - b)))
-
-
-def transform_check(upper, lower):
+def transform_check(upper, lower, out=None):
     """Pair transformation marginalizing the partner bit (log domain).
 
-    out_b = max*(upper_b + lower_0, upper_{1-b} + lower_1). `upper` carries
-    the xor branch of the first half-block, `lower` the direct branch of the
-    second half-block. Shapes (..., 2) -> (..., 2).
+    out_b = max*(upper_b + lower_0, upper_{1-b} + lower_1), with the exact
+    Jacobian logarithm max*(a, c) = max(a, c) + log(1 + exp(-|a - c|)).
+    `upper` carries the xor branch of the first half-block, `lower` the
+    direct branch of the second half-block. Shapes (..., 2) -> (..., 2); the
+    result is written to `out` when given.
     """
     upper = np.asarray(upper, dtype=np.float64)
     lower = np.asarray(lower, dtype=np.float64)
-    out = np.empty(np.broadcast(upper, lower).shape)
-    u0, u1 = upper[..., 0], upper[..., 1]
-    l0, l1 = lower[..., 0], lower[..., 1]
-    out[..., 0] = max_star(u0 + l0, u1 + l1)
-    out[..., 1] = max_star(u1 + l0, u0 + l1)
+    shape = np.broadcast(upper, lower).shape
+    a = np.empty(shape)
+    c = np.empty(shape)
+    for b in (0, 1):
+        np.add(upper[..., b], lower[..., 0], out=a[..., b])
+        np.add(upper[..., 1 - b], lower[..., 1], out=c[..., b])
+    out = np.maximum(a, c, out=out)
+    # out += log1p(exp(-|a - c|)), evaluated in place in c's buffer
+    d = np.abs(np.subtract(a, c, out=c), out=c)
+    out += np.log1p(np.exp(np.negative(d, out=d), out=d), out=d)
     return out
 
 
-def transform_combine(upper, lower, u_even):
+def transform_combine(upper, lower, u_even, out=None):
     """Pair transformation once the partner (even) bit is decided.
 
     out_b = upper_{u_even xor b} + lower_b. `u_even` broadcasts against the
-    leading axes of the pair arrays.
+    leading axes of the pair arrays; the result is written to `out` when
+    given.
     """
     upper = np.asarray(upper, dtype=np.float64)
     lower = np.asarray(lower, dtype=np.float64)
-    e = np.asarray(u_even)
-    out = np.empty(np.broadcast(upper, lower).shape)
-    u0, u1 = upper[..., 0], upper[..., 1]
-    out[..., 0] = np.where(e == 0, u0, u1) + lower[..., 0]
-    out[..., 1] = np.where(e == 0, u1, u0) + lower[..., 1]
+    even = np.asarray(u_even) == 0
+    out = np.empty(np.broadcast(upper, lower).shape) if out is None else out
+    for b in (0, 1):
+        np.add(np.where(even, upper[..., b], upper[..., 1 - b]),
+               lower[..., b], out=out[..., b])
     return out
 
 
@@ -103,13 +105,6 @@ def channel_combine(left, right):
     return left[..., eo] + right[..., odd]
 
 
-def int_to_bits(values, width):
-    """Integers to width-bit arrays, MSB first."""
-    values = np.asarray(values)
-    shifts = np.arange(width - 1, -1, -1)
-    return ((values[..., None] >> shifts) & 1).astype(np.int8)
-
-
 @lru_cache(maxsize=None)
 def symbol_component_bits(M):
     """(2^M, M) table: row s holds the re-encoded bits of symbol value s.
@@ -149,42 +144,22 @@ class _PairBank:
         """Set the stage-0 pairs; shape lead + (width, 2), broadcastable."""
         self.up[0][...] = channel_pairs
 
-    def _eq_check(self, s):
-        u = self.up[s - 1][..., 0::2, :]
-        lo = self.up[s - 1][..., 1::2, :]
-        out = self.up[s]
-        a = u[..., 0] + lo[..., 0]
-        b = u[..., 1] + lo[..., 1]
-        out[..., 0] = np.maximum(a, b) + np.log1p(np.exp(-np.abs(a - b)))
-        a = u[..., 1] + lo[..., 0]
-        b = u[..., 0] + lo[..., 1]
-        out[..., 1] = np.maximum(a, b) + np.log1p(np.exp(-np.abs(a - b)))
-
-    def _eq_combine(self, s):
-        u = self.up[s - 1][..., 0::2, :]
-        lo = self.up[s - 1][..., 1::2, :]
-        e = self.ev[s] == 0
-        out = self.up[s]
-        out[..., 0] = np.where(e, u[..., 0], u[..., 1]) + lo[..., 0]
-        out[..., 1] = np.where(e, u[..., 1], u[..., 0]) + lo[..., 1]
-
     def refresh(self, j):
         """Advance metric computation for bit index j; return the top pair.
 
         Stage s recomputes when j is a multiple of 2^(w-s): with the partner
         bit still undecided it marginalizes (check form), afterwards it uses
-        the stored partial sum (combine form).
+        the stored partial sum (combine form). At j > 0 the lowest stage
+        recomputed, w - tz(j), is the one in combine form.
         """
-        if j == 0:
-            for s in range(1, self.w + 1):
-                self._eq_check(s)
-        else:
-            tz = (j & -j).bit_length() - 1
-            d = self.w - tz
-            if d >= 1:
-                self._eq_combine(d)
-            for s in range(d + 1, self.w + 1):
-                self._eq_check(s)
+        d = self.w - ((j & -j).bit_length() - 1) if j else 0
+        for s in range(max(d, 1), self.w + 1):
+            below = self.up[s - 1]
+            upper, lower = below[..., 0::2, :], below[..., 1::2, :]
+            if s == d:
+                transform_combine(upper, lower, self.ev[s], out=self.up[s])
+            else:
+                transform_check(upper, lower, out=self.up[s])
         return self.up[self.w][..., 0, :]
 
     def feed(self, j, bits):
@@ -216,36 +191,44 @@ class _PairBank:
             self.ev[s] = self.ev[s][b, idx]
 
 
-def sc_decode_batch(code, metrics):
-    """Bit-based SC decode of a batch; metrics (B, N, 2) -> decisions (B, N).
-
-    Frozen bits decode to zero; information bit j decodes to the hypothesis
-    maximizing the running metric pair, with ties resolved to 1 (a tied
-    likelihood ratio counts as >= 1).
-    """
+def _check_metrics(code, metrics):
+    """One frame's (N, 2) channel metrics, checked at the single-frame
+    boundary: a wrong shape or a NaN or infinite entry raises ValueError."""
     metrics = np.asarray(metrics, dtype=np.float64)
-    B = metrics.shape[0]
-    bank = _PairBank((B,), code.N)
-    bank.load(metrics)
-    frozen = code.frozen_mask()
-    u = np.zeros((B, code.N), dtype=np.int8)
-    for j in range(code.N):
-        top = bank.refresh(j)
-        if frozen[j]:
-            bits = np.zeros(B, dtype=np.int8)
-        else:
-            bits = (top[:, 1] >= top[:, 0]).astype(np.int8)
-        u[:, j] = bits
-        bank.feed(j, bits)
-    return u
-
-
-def sc_decode(code, metrics):
-    """SC-decode one frame; metrics is an (N, 2) array of log metric pairs."""
-    metrics = np.asarray(metrics)
     if metrics.shape != (code.N, 2):
-        raise ValueError(f"metrics must have shape ({code.N}, 2)")
-    return sc_decode_batch(code, metrics[None])[0]
+        raise ValueError(f"metrics must have shape ({code.N}, 2), "
+                         f"got {metrics.shape}")
+    if not np.isfinite(metrics).all():
+        raise ValueError("metrics must be finite, got NaN or infinity")
+    return metrics
+
+
+def _bit_partition(code):
+    """The code's 1-bit symbol partition, built once and kept on the code."""
+    part = code.__dict__.get("_bit_partition")
+    if part is None:
+        part = partition_symbols(code, 0)
+        object.__setattr__(code, "_bit_partition", part)
+    return part
+
+
+@lru_cache(maxsize=None)
+def _symbol_bits(M):
+    """Tables indexed by symbol value: its M bits, MSB first, and the bits
+    fed back to the component decoders (no component axis for M = 1)."""
+    feed = symbol_component_bits(M)
+    return int_to_bits(np.arange(1 << M), M), feed[:, 0] if M == 1 else feed
+
+
+def _component_bank(lead, M, metrics):
+    """A bank of M component decoders of length N/M per unit of `lead`,
+    loaded with (B, N, 2) channel pairs; no component axis for M = 1."""
+    B, N = metrics.shape[:2]
+    comp = () if M == 1 else (M,)
+    bank = _PairBank(lead + comp, N // M)
+    bank.load(metrics.reshape((B,) + (1,) * (len(lead) - 1) + comp
+                              + (N // M, 2)))
+    return bank
 
 
 def _symbol_tables(pairs):
@@ -256,51 +239,68 @@ def _symbol_tables(pairs):
     return tabs[..., 0, :]
 
 
+def _sc_loop(code, part, metrics, tables=None):
+    """The SC decode loop over the symbols of `part`; appends each symbol's
+    (B, 2^M) table to `tables` when given."""
+    metrics = np.asarray(metrics, dtype=np.float64)
+    B = metrics.shape[0]
+    M = part.M
+    bank = _component_bank((B,), M, metrics)
+    bits, feed = _symbol_bits(M)
+    zero = np.zeros(bank.lead, dtype=np.int8)
+    u = np.zeros((B, code.N), dtype=np.int8)
+    for j in range(part.symbol_count):
+        pairs = bank.refresh(j)
+        hyps = part.hypotheses(j)
+        if hyps.size == 1 and tables is None:
+            bank.feed(j, zero)  # a frozen symbol decodes to zero
+            continue
+        # a 1-bit table is the pair itself
+        table = pairs if M == 1 else _symbol_tables(pairs)
+        if tables is not None:
+            tables.append(table.copy())
+        cons = table if hyps.size == table.shape[-1] else table[:, hyps]
+        # ties pick the largest consistent hypothesis
+        sym = hyps[::-1][cons[:, ::-1].argmax(axis=1)]
+        bank.feed(j, feed[sym])
+        u[:, j * M : (j + 1) * M] = bits[sym]
+    return u
+
+
+def sc_decode_batch(code, metrics):
+    """Bit-based SC decode of a batch; metrics (B, N, 2) -> decisions (B, N).
+
+    The M = 1 case of the symbol decoder. Frozen bits decode to zero;
+    information bit j decodes to the hypothesis maximizing the running
+    metric pair, with ties resolved to 1 (a tied likelihood ratio counts as
+    >= 1).
+    """
+    return _sc_loop(code, _bit_partition(code), metrics)
+
+
+def sc_decode(code, metrics):
+    """SC-decode one frame; metrics is an (N, 2) array of finite log metric
+    pairs."""
+    return sc_decode_batch(code, _check_metrics(code, metrics)[None])[0]
+
+
 def symbol_sc_decode_batch(code, part, metrics, record_tables=False):
     """Symbol-based SC decode of a batch; metrics (B, N, 2) -> (B, N).
 
     Decides M bits per step by maximizing the combined symbol table over the
-    hypotheses consistent with the symbol's frozen positions. Fully frozen
-    symbols extend with zeros without evaluating the table (unless tables
-    are being recorded). Ties pick the largest consistent hypothesis, which
-    makes M = 1 coincide exactly with `sc_decode`.
+    hypotheses consistent with the symbol's frozen positions; ties pick the
+    largest. Fully frozen symbols extend with zeros without evaluating the
+    table (unless tables are being recorded).
 
     With record_tables=True also returns a list of per-symbol (B, 2^M) log
     tables (constants dropped).
     """
-    metrics = np.asarray(metrics, dtype=np.float64)
-    B = metrics.shape[0]
-    M = part.M
-    if M > (1 << 20):
-        raise ValueError("symbol table would exceed 2^20 entries")
-    n_comp = code.N // M
-    bank = _PairBank((B, M), n_comp)
-    bank.load(metrics.reshape(B, M, n_comp, 2))
-    comp_bits = symbol_component_bits(M)
-    u = np.zeros((B, code.N), dtype=np.int8)
     tables = [] if record_tables else None
-    for j in range(part.symbol_count):
-        pairs = bank.refresh(j)
-        hyps = part.hypotheses(j)
-        if hyps.size == 1 and not record_tables:
-            sym = np.zeros(B, dtype=np.int64)
-        else:
-            table = _symbol_tables(pairs)
-            if record_tables:
-                tables.append(table.copy())
-            cons = table[:, hyps]
-            k = (hyps.size - 1) - np.argmax(cons[:, ::-1], axis=1)
-            sym = hyps[k]
-        bank.feed(j, comp_bits[sym])
-        u[:, j * M : (j + 1) * M] = int_to_bits(sym, M)
-    if record_tables:
-        return u, tables
-    return u
+    u = _sc_loop(code, part, metrics, tables)
+    return (u, tables) if record_tables else u
 
 
 def symbol_sc_decode(code, part, metrics):
     """Symbol-based SC decode of one frame."""
-    metrics = np.asarray(metrics)
-    if metrics.shape != (code.N, 2):
-        raise ValueError(f"metrics must have shape ({code.N}, 2)")
-    return symbol_sc_decode_batch(code, part, metrics[None])[0]
+    return symbol_sc_decode_batch(code, part,
+                                  _check_metrics(code, metrics)[None])[0]

@@ -19,69 +19,82 @@ import numpy as np
 
 from .codec import verify_crc
 from .pruning import full_select, two_stage_select
-from .sc import _PairBank, _symbol_tables, int_to_bits, symbol_component_bits
+from .sc import (_bit_partition, _check_metrics, _component_bank, _symbol_bits,
+                 _symbol_tables)
 
 
-def _check_list_size(L):
+def _scl_loop(code, part, metrics, L, q, trace_hook):
+    """The list decode loop over the symbols of `part`, list size L, q
+    stage-1 survivors per group; returns (histories, metrics, alpha)."""
     if L < 1 or (L & (L - 1)):
         raise ValueError(f"list size must be a power of two >= 1, got {L}")
-
-
-def _check_metrics(code, metrics):
-    metrics = np.asarray(metrics)
-    if metrics.shape != (code.N, 2):
-        raise ValueError(f"metrics must have shape ({code.N}, 2)")
-    return metrics
+    # q beyond a group's candidate count clamps to keeping the whole group
+    if not 1 <= q <= L:
+        raise ValueError(f"stage1 survivor count must be in [1, L], got {q}")
+    metrics = np.asarray(metrics, dtype=np.float64)
+    B = metrics.shape[0]
+    M = part.M
+    bank = _component_bank((B, L), M, metrics)
+    bits, feed = _symbol_bits(M)
+    zero = np.zeros(bank.lead, dtype=np.int8)
+    hist = np.zeros((B, L, code.N), dtype=np.int8)
+    pm = np.full((B, L), -np.inf)
+    alpha = 1
+    batch_idx = np.arange(B)[:, None]
+    for j in range(part.symbol_count):
+        pairs = bank.refresh(j)
+        hyps = part.hypotheses(j)
+        beta = hyps.size
+        if beta == 1:
+            # zero-symbol extension: metric is the all-zero entry of the
+            # would-be table, obtained from the component pairs directly
+            entry = pairs[:, :alpha, ..., 0]
+            pm[:, :alpha] = entry if M == 1 else entry.sum(axis=-1)
+            bank.feed(j, zero)
+        else:
+            # a 1-bit table is the pair itself
+            table = pairs if M == 1 else _symbol_tables(pairs)
+            cons = table[:, :alpha]
+            if beta < table.shape[-1]:
+                cons = cons[:, :, hyps]
+            if alpha * beta <= L:
+                idx = np.arange(L)
+                idx[: alpha * beta] = np.tile(np.arange(alpha), beta)
+                bank.take_static(idx)
+                hist = np.take(hist, idx, axis=1)
+                sym = np.zeros((B, L), dtype=np.int64)
+                sym[:, : alpha * beta] = np.repeat(hyps, alpha)
+                pm[:, : alpha * beta] = cons.transpose(0, 2, 1).reshape(B, -1)
+                alpha *= beta
+            else:
+                # candidates in parent-major order; q >= L equals a full sort
+                flat = (full_select(cons, L) if q >= L
+                        else two_stage_select(cons, q, L))
+                parents = flat // beta
+                bank.gather_paths(parents)
+                hist = hist[batch_idx, parents]
+                pm = np.take_along_axis(cons.reshape(B, -1), flat, axis=1)
+                sym = hyps[flat % beta]
+                alpha = L
+            hist[:, :, j * M : (j + 1) * M] = bits[sym]
+            bank.feed(j, feed[sym])
+        if trace_hook is not None:
+            trace_hook(j, alpha, hist, pm)
+    return hist, pm, alpha
 
 
 def scl_decode_batch(code, metrics, list_size, trace_hook=None):
     """Bit-based SCL decode of a batch; returns (histories, metrics, alpha).
 
-    `histories` has shape (B, L, N), `metrics` (B, L); entries at list
-    indices >= alpha are inactive. Paths double on information bits until L
-    paths exist, then each bit keeps the L best of the 2L extensions.
+    The M = 1, q = L case of `symbol_scl_decode_batch`. `histories` has
+    shape (B, L, N), `metrics` (B, L); entries at list indices >= alpha are
+    inactive. Paths double on information bits until L paths exist, then
+    each bit keeps the L best of the 2L extensions. `trace_hook`, when
+    given, is called as trace_hook(j, alpha, histories, metrics) after
+    every bit.
     """
-    _check_list_size(list_size)
-    metrics = np.asarray(metrics, dtype=np.float64)
-    B = metrics.shape[0]
-    L = list_size
-    N = code.N
-    bank = _PairBank((B, L), N)
-    bank.load(metrics[:, None, :, :])
-    frozen = code.frozen_mask()
-    hist = np.zeros((B, L, N), dtype=np.int8)
-    pm = np.full((B, L), -np.inf)
-    alpha = 1
-    batch_idx = np.arange(B)[:, None]
-    for j in range(N):
-        top = bank.refresh(j)
-        if frozen[j]:
-            bits = np.zeros((B, L), dtype=np.int8)
-            pm[:, :alpha] = top[:, :alpha, 0]
-        elif 2 * alpha <= L:
-            idx = np.arange(L)
-            idx[alpha : 2 * alpha] = np.arange(alpha)
-            bank.take_static(idx)
-            hist = np.take(hist, idx, axis=1)
-            bits = np.zeros((B, L), dtype=np.int8)
-            bits[:, alpha : 2 * alpha] = 1
-            pm[:, :alpha] = top[:, :alpha, 0]
-            pm[:, alpha : 2 * alpha] = top[:, :alpha, 1]
-            alpha *= 2
-        else:
-            # alpha == L: 2L candidates in parent-major order
-            cand = top.reshape(B, 2 * L)
-            order = full_select(top, L)
-            parents = order >> 1
-            bits = (order & 1).astype(np.int8)
-            bank.gather_paths(parents)
-            hist = hist[batch_idx, parents]
-            pm = np.take_along_axis(cand, order, axis=1)
-        hist[:, :, j] = bits
-        bank.feed(j, bits)
-        if trace_hook is not None:
-            trace_hook(j, alpha, hist, pm)
-    return hist, pm, alpha
+    return _scl_loop(code, _bit_partition(code), metrics, list_size,
+                     list_size, trace_hook)
 
 
 def _best_path(hist, pm, alpha):
@@ -90,16 +103,8 @@ def _best_path(hist, pm, alpha):
 
 
 def scl_decode(code, metrics, list_size):
-    """SCL-decode one frame, returning the most reliable final path.
-
-    Parameters
-    ----------
-    code : PolarCode
-    metrics : (N, 2) array
-        Stage-0 log metric pairs.
-    list_size : int
-        Power-of-two list size L; L = 1 reproduces `sc_decode` decisions.
-    """
+    """SCL-decode one frame of (N, 2) finite log metric pairs, returning the
+    most reliable final path. L = 1 reproduces `sc_decode` decisions."""
     metrics = _check_metrics(code, metrics)
     hist, pm, alpha = scl_decode_batch(code, metrics[None], list_size)
     return _best_path(hist, pm, alpha)[0]
@@ -110,13 +115,10 @@ def ca_scl_decode_batch(code, metrics, list_size):
     if code.crc is None:
         raise ValueError("ca_scl_decode requires a code with a CRC")
     hist, pm, alpha = scl_decode_batch(code, metrics, list_size)
-    info = hist[:, :alpha, :][:, :, code.info_set]
-    valid = verify_crc(info, code.crc)
-    masked = np.where(valid, pm[:, :alpha], -np.inf)
-    has_valid = valid.any(axis=1)
-    pick = np.where(has_valid, np.argmax(masked, axis=1),
-                    np.argmax(pm[:, :alpha], axis=1))
-    return hist[np.arange(hist.shape[0]), pick]
+    valid = verify_crc(hist[:, :alpha][:, :, code.info_set], code.crc)
+    # all paths compete when none is valid
+    valid |= ~valid.any(axis=1, keepdims=True)
+    return _best_path(hist, np.where(valid, pm[:, :alpha], -np.inf), alpha)
 
 
 def ca_scl_decode(code, metrics, list_size):
@@ -135,62 +137,10 @@ def symbol_scl_decode_batch(code, part, metrics, list_size, stage1_keep,
     alpha * beta <= L all extensions are kept (new path i + k*alpha extends
     parent i with hypothesis k); otherwise each path expands to its beta
     candidates and the two-stage selection with per-group survivor count
-    `stage1_keep` prunes back to L.
+    `stage1_keep` prunes back to L (a full sort, which selects the same, when
+    stage1_keep = L). `trace_hook` is called as in `scl_decode_batch`.
     """
-    _check_list_size(list_size)
-    L = list_size
-    M = part.M
-    q = stage1_keep
-    # q beyond a group's candidate count clamps to keeping the whole group
-    if not 1 <= q <= L:
-        raise ValueError(f"stage1 survivor count must be in [1, L], got {q}")
-    metrics = np.asarray(metrics, dtype=np.float64)
-    B = metrics.shape[0]
-    n_comp = code.N // M
-    bank = _PairBank((B, L, M), n_comp)
-    bank.load(metrics.reshape(B, 1, M, n_comp, 2))
-    comp_bits = symbol_component_bits(M)
-    hist = np.zeros((B, L, code.N), dtype=np.int8)
-    pm = np.full((B, L), -np.inf)
-    alpha = 1
-    batch_idx = np.arange(B)[:, None]
-    for j in range(part.symbol_count):
-        pairs = bank.refresh(j)
-        hyps = part.hypotheses(j)
-        beta = hyps.size
-        sym = np.zeros((B, L), dtype=np.int64)
-        if beta == 1:
-            # zero-symbol extension: metric is the all-zero entry of the
-            # would-be table, obtained from the component pairs directly
-            pm[:, :alpha] = pairs[:, :alpha, :, 0].sum(axis=-1)
-        elif alpha * beta <= L:
-            table = _symbol_tables(pairs)
-            cons = table[:, :alpha, :][:, :, hyps]
-            idx = np.arange(L)
-            for k in range(beta):
-                idx[k * alpha : (k + 1) * alpha] = np.arange(alpha)
-            bank.take_static(idx)
-            hist = np.take(hist, idx, axis=1)
-            grown = alpha * beta
-            pm[:, :grown] = cons.transpose(0, 2, 1).reshape(B, grown)
-            sym[:, :grown] = np.repeat(hyps, alpha)[None, :]
-            alpha = grown
-        else:
-            table = _symbol_tables(pairs)
-            cons = table[:, :alpha, :][:, :, hyps]
-            flat = two_stage_select(cons, q, L)
-            parents = flat // beta
-            k = flat % beta
-            bank.gather_paths(parents)
-            hist = hist[batch_idx, parents]
-            pm = np.take_along_axis(cons.reshape(B, -1), flat, axis=1)
-            sym = hyps[k]
-            alpha = L
-        hist[:, :, j * M : (j + 1) * M] = int_to_bits(sym, M)
-        bank.feed(j, comp_bits[sym])
-        if trace_hook is not None:
-            trace_hook(j, alpha, hist, pm)
-    return hist, pm, alpha
+    return _scl_loop(code, part, metrics, list_size, stage1_keep, trace_hook)
 
 
 def symbol_scl_decode(code, part, metrics, list_size, stage1_keep):

@@ -25,9 +25,23 @@ from .channel import initial_metrics, modulate, noise_sigma2
 from .codec import attach_crc, crc16_ccitt, encode_bits, scatter_info_batch
 from .construction import construct_code, partition_symbols
 from .sc import sc_decode_batch, symbol_sc_decode_batch
-from .scl import ca_scl_decode_batch, scl_decode_batch, symbol_scl_decode_batch
+from .scl import (_best_path, ca_scl_decode_batch, scl_decode_batch,
+                  symbol_scl_decode_batch)
 
-DECODERS = ("sc", "ssc", "scl", "cascl", "sscl")
+# Batch decoders by name, called as decode(metrics, code, part, cfg). Each
+# entry looks its decoder up when called, so a wrapper installed on the
+# module attribute (a tracer, say) takes effect.
+_DECODERS = {
+    "sc": lambda m, code, part, cfg: sc_decode_batch(code, m),
+    "ssc": lambda m, code, part, cfg: symbol_sc_decode_batch(code, part, m),
+    "scl": lambda m, code, part, cfg: _best_path(
+        *scl_decode_batch(code, m, cfg.list_size)),
+    "cascl": lambda m, code, part, cfg: ca_scl_decode_batch(
+        code, m, cfg.list_size),
+    "sscl": lambda m, code, part, cfg: _best_path(*symbol_scl_decode_batch(
+        code, part, m, cfg.list_size, cfg.stage1_keep)),
+}
+DECODERS = tuple(_DECODERS)
 
 CSV_HEADER = "snr_db,frames,frame_errors,bit_errors,fer,ber,wall_seconds"
 
@@ -67,6 +81,16 @@ class SimConfig:
             raise ValueError("workers must be >= 1")
         if self.symbol_bits < 1 or (self.symbol_bits & (self.symbol_bits - 1)):
             raise ValueError("symbol_bits must be a power of two")
+        # fields that the chosen decoder ignores are not checked
+        L, q = self.list_size, self.stage1_keep
+        if self.decoder in ("scl", "cascl", "sscl") and (L < 1 or L & (L - 1)):
+            raise ValueError(f"list_size must be a power of two >= 1 for "
+                             f"{self.decoder}, got {L}")
+        if self.decoder == "sscl" and not 1 <= q <= L:
+            raise ValueError(f"stage1_keep must be in [1, list_size={L}], "
+                             f"got {q}")
+        if self.decoder == "cascl" and self.crc_width == 0:
+            raise ValueError("decoder cascl needs a CRC: set crc_width > 0")
 
     def snr_points(self):
         if self.snr_step <= 0:
@@ -124,30 +148,11 @@ class FerRecord:
 
 
 def _make_decoder(cfg, code):
-    kind = cfg.decoder
-    if kind == "sc":
-        return lambda m: sc_decode_batch(code, m)
-    if kind == "ssc":
-        part = partition_symbols(code, cfg.symbol_bits.bit_length() - 1)
-        return lambda m: symbol_sc_decode_batch(code, part, m)
-    if kind == "scl":
-        def decode(m):
-            hist, pm, alpha = scl_decode_batch(code, m, cfg.list_size)
-            best = np.argmax(pm[:, :alpha], axis=1)
-            return hist[np.arange(m.shape[0]), best]
-        return decode
-    if kind == "cascl":
-        return lambda m: ca_scl_decode_batch(code, m, cfg.list_size)
-    if kind == "sscl":
-        part = partition_symbols(code, cfg.symbol_bits.bit_length() - 1)
-
-        def decode(m):
-            hist, pm, alpha = symbol_scl_decode_batch(
-                code, part, m, cfg.list_size, cfg.stage1_keep)
-            best = np.argmax(pm[:, :alpha], axis=1)
-            return hist[np.arange(m.shape[0]), best]
-        return decode
-    raise ValueError(f"unknown decoder {kind!r}")
+    """The batched decoder of a configuration: metrics (B, N, 2) -> (B, N)."""
+    part = (partition_symbols(code, cfg.symbol_bits.bit_length() - 1)
+            if cfg.decoder in ("ssc", "sscl") else None)
+    decode = _DECODERS[cfg.decoder]
+    return lambda m: decode(m, code, part, cfg)
 
 
 def _auto_rounds(cfg, code):
@@ -204,23 +209,15 @@ def run_point(cfg, snr_db, code=None):
         u_hat = decode(metrics)
         payload_hat = u_hat[:, code.info_set][:, :payload_bits]
         bit_errs = (payload_hat != payloads).sum(axis=1)
+        bit_errs = bit_errs[:budget - frames]
         err = bit_errs > 0
-
-        take = min(rounds * W, budget - frames)
-        bit_errs = bit_errs[:take]
-        err = err[:take]
         if cfg.max_frame_errors > 0:
             cum = frame_errors + np.cumsum(err)
             hit = np.flatnonzero(cum >= cfg.max_frame_errors)
-            if hit.size:
-                take = hit[0] + 1
-                bit_errs = bit_errs[:take]
-                err = err[:take]
-                frames += take
-                frame_errors += int(err.sum())
-                bit_errors += int(bit_errs.sum())
-                break
-        frames += take
+            if hit.size:  # the point ends with the frame that reaches it
+                bit_errs, err = bit_errs[:hit[0] + 1], err[:hit[0] + 1]
+                budget = frames + err.size
+        frames += err.size
         frame_errors += int(err.sum())
         bit_errors += int(bit_errs.sum())
     wall = time.perf_counter() - start

@@ -5,7 +5,7 @@ from polarsim.channel import initial_metrics, modulate
 from polarsim.codec import attach_crc, polar_encode, scatter_info
 from polarsim.construction import construct_code, partition_symbols
 from polarsim.oracle import DenseCode, exhaustive_ml, exhaustive_symbol_metric
-from polarsim.sc import sc_decode_batch
+from polarsim.sc import sc_decode, sc_decode_batch, symbol_sc_decode
 from polarsim.scl import (_best_path, ca_scl_decode, scl_decode,
                           scl_decode_batch, symbol_scl_decode,
                           symbol_scl_decode_batch)
@@ -381,3 +381,34 @@ class TestSymbolSclDecode:
                           for j in range(part.symbol_count))
             agree += matches
         assert agree / trials > 0.7
+
+
+def _single_frame_decoders():
+    from polarsim.codec import CrcSpec
+    code = construct_code(4, 8)
+    crc_code = construct_code(4, 8, crc=CrcSpec(width=4, poly=0x3, init=0x0))
+    part = partition_symbols(code, 2)
+    return {
+        "sc_decode": (code, lambda m: sc_decode(code, m)),
+        "symbol_sc_decode": (code, lambda m: symbol_sc_decode(code, part, m)),
+        "scl_decode": (code, lambda m: scl_decode(code, m, 4)),
+        "ca_scl_decode": (crc_code, lambda m: ca_scl_decode(crc_code, m, 4)),
+        "symbol_scl_decode": (
+            code, lambda m: symbol_scl_decode(code, part, m, 4, 2)),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_single_frame_decoders()))
+@pytest.mark.parametrize("bad", ["nan", "+inf", "-inf", "-inf pair",
+                                 "shape"])
+def test_single_frame_rejects_bad_metrics(entry, bad):
+    code, decode = _single_frame_decoders()[entry]
+    met = initial_metrics(modulate(np.zeros(code.N, int)), 0.5)
+    decode(met)  # the clean word decodes
+    if bad == "shape":
+        met = met[:-1]
+    else:
+        met[3] = {"nan": [0.0, np.nan], "+inf": [np.inf, 0.0],
+                  "-inf": [0.0, -np.inf], "-inf pair": [-np.inf, -np.inf]}[bad]
+    with pytest.raises(ValueError, match="metrics must"):
+        decode(met)

@@ -152,6 +152,29 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimConfig(snr_start=3.0, snr_stop=1.0)
 
+    @pytest.mark.parametrize("q", [0, 5, 8])
+    def test_rejects_stage1_keep_outside_list(self, q):
+        with pytest.raises(ValueError, match="stage1_keep"):
+            SimConfig(decoder="sscl", list_size=4, stage1_keep=q)
+
+    def test_rejects_cascl_without_crc(self):
+        with pytest.raises(ValueError, match="CRC"):
+            SimConfig(decoder="cascl", list_size=4, crc_width=0)
+
+    @pytest.mark.parametrize("decoder", ["scl", "cascl", "sscl"])
+    @pytest.mark.parametrize("L", [0, 3, 6])
+    def test_rejects_list_size_not_power_of_two(self, decoder, L):
+        with pytest.raises(ValueError, match="list_size"):
+            SimConfig(decoder=decoder, list_size=L, stage1_keep=1,
+                      crc_width=8)
+
+    def test_ignored_fields_are_not_checked(self):
+        # sc and ssc have no list; scl and cascl take no stage-1 count
+        for decoder in ("sc", "ssc"):
+            SimConfig(decoder=decoder, list_size=3, stage1_keep=9)
+        SimConfig(decoder="scl", list_size=4, stage1_keep=9)
+        SimConfig(decoder="cascl", list_size=4, stage1_keep=0, crc_width=8)
+
 
 class TestCli:
     def test_construct_emits_frozen_set(self, capsys):
@@ -186,6 +209,22 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert CSV_HEADER in out
+
+    @pytest.mark.parametrize("flags", [
+        ["--decoder", "cascl"],
+        ["--decoder", "sscl", "--list", "4", "--q", "8"],
+        ["--decoder", "scl", "--list", "3"],
+    ])
+    def test_run_rejects_bad_config_at_the_boundary(self, flags, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["run", "--n", "16", "--k", "8", "--snr", "4.0",
+                      "--frames", "10"] + flags)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1 and "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_block_length_must_be_power_of_two(self, capsys):
         with pytest.raises(SystemExit):
