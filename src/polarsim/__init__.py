@@ -5,10 +5,10 @@ from .codec import (CrcSpec, attach_crc, crc16_ccitt, crc_value, polar_encode,
                     scatter_info, verify_crc)
 from .construction import (PolarCode, SymbolPartition, bit_reversal_permutation,
                            construct_code, load_frozen_set, partition_symbols)
-from .costs import (CostReport, channel_combination_additions,
-                    ml_detector_additions, sorting_network_cost)
+from .costs import (channel_combination_additions, ml_detector_additions,
+                    sorting_network_cost)
 from .oracle import DenseCode, exhaustive_ml, exhaustive_symbol_metric
-from .pruning import Candidate, PruneProblem, exactness_check, full_prune, two_stage_prune
+from .pruning import exactness_check, full_select, two_stage_select
 from .sc import (channel_combine, sc_decode, symbol_sc_decode, transform_check,
                  transform_combine)
 from .scl import ca_scl_decode, scl_decode, symbol_scl_decode
@@ -20,11 +20,10 @@ __all__ = [
     "scatter_info", "verify_crc",
     "PolarCode", "SymbolPartition", "bit_reversal_permutation",
     "construct_code", "load_frozen_set", "partition_symbols",
-    "CostReport", "channel_combination_additions", "ml_detector_additions",
+    "channel_combination_additions", "ml_detector_additions",
     "sorting_network_cost",
     "DenseCode", "exhaustive_ml", "exhaustive_symbol_metric",
-    "Candidate", "PruneProblem", "exactness_check", "full_prune",
-    "two_stage_prune",
+    "exactness_check", "full_select", "two_stage_select",
     "channel_combine", "sc_decode", "symbol_sc_decode",
     "transform_check", "transform_combine",
     "ca_scl_decode", "scl_decode", "symbol_scl_decode",

@@ -89,16 +89,19 @@ def _cmd_run(args, parser):
     return 0
 
 
-def _cmd_cost(args):
+def _cmd_cost(args, parser):
     M, L, q = args.M, args.L, args.q
     m = M.bit_length() - 1
-    rows = [
-        ("direct_detector_additions", ml_detector_additions(M), ""),
-        ("recursive_combination_additions",
-         channel_combination_additions(M), ""),
-    ]
-    ctsn = sorting_network_cost("ctsn", M, L)
-    tstsn = sorting_network_cost("tstsn", M, L, q)
+    try:
+        rows = [
+            ("direct_detector_additions", ml_detector_additions(M), ""),
+            ("recursive_combination_additions",
+             channel_combination_additions(M), ""),
+        ]
+        ctsn = sorting_network_cost("ctsn", M, L)
+        tstsn = sorting_network_cost("tstsn", M, L, q)
+    except ValueError as exc:
+        parser.error(str(exc))
     rows += [
         ("ctsn_comparators", ctsn.comparators, ctsn.label),
         ("ctsn_depth", ctsn.depth, ctsn.label),
@@ -155,7 +158,7 @@ def main(argv=None):
     if args.command == "run":
         return _cmd_run(args, parser)
     if args.command == "cost":
-        return _cmd_cost(args)
+        return _cmd_cost(args, parser)
     if args.command == "construct":
         return _cmd_construct(args)
     parser.error("unknown command")

@@ -19,8 +19,6 @@ to width L and reduces with ps-2L-to-L blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -48,20 +46,6 @@ def channel_combination_additions(M):
         raise ValueError(f"M must be >= 2, got {M}")
     m = M.bit_length() - 1
     return sum((1 << i) * (1 << (M >> i)) for i in range(m))
-
-
-@dataclass(frozen=True)
-class CostReport:
-    """Operation counts for one configuration."""
-
-    label: str
-    additions: int = 0
-    comparators: int = 0
-    depth: int = 0
-
-    def __post_init__(self):
-        if min(self.additions, self.comparators, self.depth) < 0:
-            raise ValueError("counts must be non-negative")
 
 
 class ComparatorNetwork:
@@ -97,10 +81,6 @@ class ComparatorNetwork:
             v[hi] = np.maximum(a, b)
             v[lo] = np.minimum(a, b)
         return v[self.outputs]
-
-    def report(self):
-        return CostReport(label=self.label, comparators=self.comparators,
-                          depth=self.depth)
 
 
 def _parallel(level_lists):
@@ -241,7 +221,9 @@ def build_tstsn(M, L, q):
 
 
 def sorting_network_cost(topology, M, L, q=None):
-    """Comparator count and critical-path depth of a selection network.
+    """The selection network of a topology, as a `ComparatorNetwork`; its
+    `comparators` and `depth` are the comparator count and critical-path
+    depth.
 
     Parameters
     ----------
@@ -252,9 +234,9 @@ def sorting_network_cost(topology, M, L, q=None):
         Stage-1 survivors per group.
     """
     if topology == "ctsn":
-        return build_ctsn(M, L).report()
+        return build_ctsn(M, L)
     if topology == "tstsn":
         if q is None:
             raise ValueError("tstsn requires q")
-        return build_tstsn(M, L, q).report()
+        return build_tstsn(M, L, q)
     raise ValueError(f"unknown topology: {topology!r}")

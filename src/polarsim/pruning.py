@@ -12,8 +12,6 @@ Ties are broken deterministically: higher metric first, then lower group
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -55,57 +53,6 @@ def two_stage_select(metrics, stage1_keep, keep):
     parent = order2 // q
     symbol = np.take_along_axis(flat_idx, order2, axis=-1)
     return parent * group_size + symbol
-
-
-@dataclass(frozen=True)
-class Candidate:
-    """One pruning candidate: parent list index, symbol value, metric."""
-
-    parent_index: int
-    symbol_value: int
-    metric: float
-
-
-@dataclass(frozen=True)
-class PruneProblem:
-    """A pruning instance: per-group candidate metrics and survivor targets.
-
-    `groups` is a 2-D array (group count, candidates per group); `keep` is
-    the survivor target; `stage1_keep` is the per-group survivor count used
-    by the two-stage network (clamped to the group size).
-    """
-
-    groups: np.ndarray
-    keep: int
-    stage1_keep: int
-
-    def __post_init__(self):
-        groups = np.atleast_2d(np.asarray(self.groups, dtype=np.float64))
-        object.__setattr__(self, "groups", groups)
-        if self.keep < 1:
-            raise ValueError("keep must be >= 1")
-        if self.stage1_keep < 1:
-            raise ValueError("stage1_keep must be >= 1")
-
-
-def _candidates(problem, flat_idx):
-    size = problem.groups.shape[1]
-    return [
-        Candidate(parent_index=int(i // size), symbol_value=int(i % size),
-                  metric=float(problem.groups[i // size, i % size]))
-        for i in flat_idx
-    ]
-
-
-def full_prune(problem):
-    """The `keep` best candidates over all groups (reference full sort)."""
-    return _candidates(problem, full_select(problem.groups, problem.keep))
-
-
-def two_stage_prune(problem):
-    """Survivors of per-group top-q followed by overall top-keep."""
-    idx = two_stage_select(problem.groups, problem.stage1_keep, problem.keep)
-    return _candidates(problem, idx)
 
 
 def exactness_check(M, L, q, trials, seed=0):

@@ -12,7 +12,8 @@ A symbol-based decode of width M = 2^m runs M component decoders of length
 N/M over contiguous received chunks, then combines their per-stage output
 pairs into 2^M-entry symbol tables with `channel_combine`. The decided
 symbol's re-encoded bits feed back into the component decoders' partial
-sums. Bit-based decoding is the case M = 1, and runs through the same loop.
+sums. Bit-based decoding is the case M = 1, and SC decoding runs as the list
+loop of `scl` at L = 1, so both share its tie order.
 """
 
 from __future__ import annotations
@@ -239,43 +240,21 @@ def _symbol_tables(pairs):
     return tabs[..., 0, :]
 
 
-def _sc_loop(code, part, metrics, tables=None):
-    """The SC decode loop over the symbols of `part`; appends each symbol's
-    (B, 2^M) table to `tables` when given."""
-    metrics = np.asarray(metrics, dtype=np.float64)
-    B = metrics.shape[0]
-    M = part.M
-    bank = _component_bank((B,), M, metrics)
-    bits, feed = _symbol_bits(M)
-    zero = np.zeros(bank.lead, dtype=np.int8)
-    u = np.zeros((B, code.N), dtype=np.int8)
-    for j in range(part.symbol_count):
-        pairs = bank.refresh(j)
-        hyps = part.hypotheses(j)
-        if hyps.size == 1 and tables is None:
-            bank.feed(j, zero)  # a frozen symbol decodes to zero
-            continue
-        # a 1-bit table is the pair itself
-        table = pairs if M == 1 else _symbol_tables(pairs)
-        if tables is not None:
-            tables.append(table.copy())
-        cons = table if hyps.size == table.shape[-1] else table[:, hyps]
-        # ties pick the largest consistent hypothesis
-        sym = hyps[::-1][cons[:, ::-1].argmax(axis=1)]
-        bank.feed(j, feed[sym])
-        u[:, j * M : (j + 1) * M] = bits[sym]
-    return u
+def _sc(code, part, metrics, tables=None):
+    """SC decode as the list loop at L = 1: path 0's (B, N) decisions."""
+    from .scl import _scl_loop  # scl imports this module
+    return _scl_loop(code, part, metrics, 1, 1, tables=tables)[0][:, 0]
 
 
 def sc_decode_batch(code, metrics):
     """Bit-based SC decode of a batch; metrics (B, N, 2) -> decisions (B, N).
 
-    The M = 1 case of the symbol decoder. Frozen bits decode to zero;
-    information bit j decodes to the hypothesis maximizing the running
-    metric pair, with ties resolved to 1 (a tied likelihood ratio counts as
-    >= 1).
+    The M = 1 case of the symbol decoder, which is the list decoder at
+    L = 1. Frozen bits decode to zero; information bit j decodes to the
+    hypothesis maximizing the running metric pair, with ties resolved to 0
+    (the list decoders' tie order: lower symbol value first).
     """
-    return _sc_loop(code, _bit_partition(code), metrics)
+    return _sc(code, _bit_partition(code), metrics)
 
 
 def sc_decode(code, metrics):
@@ -289,15 +268,15 @@ def symbol_sc_decode_batch(code, part, metrics, record_tables=False):
 
     Decides M bits per step by maximizing the combined symbol table over the
     hypotheses consistent with the symbol's frozen positions; ties pick the
-    largest. Fully frozen symbols extend with zeros without evaluating the
+    smallest. Fully frozen symbols extend with zeros without evaluating the
     table (unless tables are being recorded).
 
     With record_tables=True also returns a list of per-symbol (B, 2^M) log
     tables (constants dropped).
     """
     tables = [] if record_tables else None
-    u = _sc_loop(code, part, metrics, tables)
-    return (u, tables) if record_tables else u
+    u = _sc(code, part, metrics, tables)
+    return (u, [t[:, 0] for t in tables]) if record_tables else u
 
 
 def symbol_sc_decode(code, part, metrics):

@@ -10,7 +10,8 @@ index on ties).
 
 Path state lives in one vectorized bank per decode; pruning reorders the
 bank's list axis with gather operations, which is observably equivalent to
-cloning each surviving path.
+cloning each surviving path. SC decoding is this loop at L = 1, where the
+single survivor always extends path 0 and nothing is sorted or gathered.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ from .sc import (_bit_partition, _check_metrics, _component_bank, _symbol_bits,
                  _symbol_tables)
 
 
-def _scl_loop(code, part, metrics, L, q, trace_hook):
+def _scl_loop(code, part, metrics, L, q, trace_hook=None, tables=None):
     """The list decode loop over the symbols of `part`, list size L, q
-    stage-1 survivors per group; returns (histories, metrics, alpha)."""
+    stage-1 survivors per group; returns (histories, metrics, alpha).
+    Appends each symbol's (B, L, 2^M) table to `tables` when given."""
     if L < 1 or (L & (L - 1)):
         raise ValueError(f"list size must be a power of two >= 1, got {L}")
     # q beyond a group's candidate count clamps to keeping the whole group
@@ -34,26 +36,39 @@ def _scl_loop(code, part, metrics, L, q, trace_hook):
     metrics = np.asarray(metrics, dtype=np.float64)
     B = metrics.shape[0]
     M = part.M
-    bank = _component_bank((B, L), M, metrics)
+    # at L = 1 the bank has no list axis: the single path's state is a rank
+    # smaller, which makes each numpy call in refresh and feed cheaper
+    bank = _component_bank((B, L) if L > 1 else (B,), M, metrics)
     bits, feed = _symbol_bits(M)
     zero = np.zeros(bank.lead, dtype=np.int8)
     hist = np.zeros((B, L, code.N), dtype=np.int8)
     pm = np.full((B, L), -np.inf)
     alpha = 1
     batch_idx = np.arange(B)[:, None]
+    last = part.symbol_count - 1
     for j in range(part.symbol_count):
         pairs = bank.refresh(j)
+        if L == 1:
+            pairs = pairs[:, None]
         hyps = part.hypotheses(j)
         beta = hyps.size
+        # selection reads the tables, never the path metrics, so a frozen or
+        # L = 1 step sets them only where they are seen: in trace_hook and
+        # after the last symbol
+        seen = trace_hook is not None or j == last
+        if beta > 1 or tables is not None:
+            # a 1-bit table is the pair itself
+            table = pairs if M == 1 else _symbol_tables(pairs)
+            if tables is not None:
+                tables.append(table.copy())
         if beta == 1:
             # zero-symbol extension: metric is the all-zero entry of the
             # would-be table, obtained from the component pairs directly
-            entry = pairs[:, :alpha, ..., 0]
-            pm[:, :alpha] = entry if M == 1 else entry.sum(axis=-1)
+            if seen:
+                entry = pairs[:, :alpha, ..., 0]
+                pm[:, :alpha] = entry if M == 1 else entry.sum(axis=-1)
             bank.feed(j, zero)
         else:
-            # a 1-bit table is the pair itself
-            table = pairs if M == 1 else _symbol_tables(pairs)
             cons = table[:, :alpha]
             if beta < table.shape[-1]:
                 cons = cons[:, :, hyps]
@@ -66,6 +81,12 @@ def _scl_loop(code, part, metrics, L, q, trace_hook):
                 sym[:, : alpha * beta] = np.repeat(hyps, alpha)
                 pm[:, : alpha * beta] = cons.transpose(0, 2, 1).reshape(B, -1)
                 alpha *= beta
+            elif L == 1:
+                # the single survivor extends path 0 with the first best
+                # hypothesis, the candidate full_select(cons, 1) picks
+                sym = hyps[cons.argmax(axis=2)]
+                if seen:
+                    pm = cons.max(axis=2)
             else:
                 # candidates in parent-major order; q >= L equals a full sort
                 flat = (full_select(cons, L) if q >= L

@@ -42,6 +42,7 @@ _DECODERS = {
         code, part, m, cfg.list_size, cfg.stage1_keep)),
 }
 DECODERS = tuple(_DECODERS)
+_LIST_DECODERS = ("scl", "cascl", "sscl")
 
 CSV_HEADER = "snr_db,frames,frame_errors,bit_errors,fer,ber,wall_seconds"
 
@@ -83,7 +84,7 @@ class SimConfig:
             raise ValueError("symbol_bits must be a power of two")
         # fields that the chosen decoder ignores are not checked
         L, q = self.list_size, self.stage1_keep
-        if self.decoder in ("scl", "cascl", "sscl") and (L < 1 or L & (L - 1)):
+        if self.decoder in _LIST_DECODERS and (L < 1 or L & (L - 1)):
             raise ValueError(f"list_size must be a power of two >= 1 for "
                              f"{self.decoder}, got {L}")
         if self.decoder == "sscl" and not 1 <= q <= L:
@@ -156,10 +157,14 @@ def _make_decoder(cfg, code):
 
 
 def _auto_rounds(cfg, code):
+    """Rounds per batch: 128 frames, fewer for a list decoder, which copies
+    its N * L entries of path state per frame at every pruning step; a
+    batch's copy is kept near 2^17 entries (16 frames at N = 1024, L = 8)."""
     if cfg.batch_rounds > 0:
         return cfg.batch_rounds
-    budget = (1 << 23) // max(code.N * max(cfg.list_size, 1), 1)
-    frames = max(cfg.workers, min(128, budget))
+    frames = 128
+    if cfg.decoder in _LIST_DECODERS:
+        frames = min(frames, (1 << 17) // (code.N * cfg.list_size))
     return max(1, frames // cfg.workers)
 
 

@@ -3,25 +3,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polarsim.pruning import (Candidate, PruneProblem, exactness_check,
-                              full_prune, two_stage_prune, two_stage_select)
+from polarsim.pruning import exactness_check, full_select, two_stage_select
 
 
-def _metric_set(cands):
-    return {(c.parent_index, c.symbol_value) for c in cands}
+def _pairs(groups, flat):
+    """(parent, symbol) of each selected flat index, in selection order."""
+    size = np.shape(groups)[-1]
+    return [(int(i // size), int(i % size)) for i in flat]
+
+
+def _metrics(groups, flat):
+    return sorted(np.asarray(groups, dtype=np.float64).ravel()[flat].tolist())
 
 
 class TestFullPrune:
     def test_inspection_example(self):
-        problem = PruneProblem(groups=[[9, 3, 5, 1], [8, 7, 2, 6]],
-                               keep=2, stage1_keep=4)
-        got = full_prune(problem)
-        assert sorted(c.metric for c in got) == [8, 9]
+        groups = [[9, 3, 5, 1], [8, 7, 2, 6]]
+        assert _metrics(groups, full_select(groups, 2)) == [8, 9]
 
     def test_all_equal_takes_tie_order(self):
-        problem = PruneProblem(groups=np.zeros((3, 4)), keep=3, stage1_keep=4)
-        got = full_prune(problem)
-        assert [(c.parent_index, c.symbol_value) for c in got] == [
+        groups = np.zeros((3, 4))
+        assert _pairs(groups, full_select(groups, 3)) == [
             (0, 0), (0, 1), (0, 2)]
 
     @given(st.integers(0, 2**32 - 1))
@@ -31,8 +33,7 @@ class TestFullPrune:
         L, S = int(rng.integers(1, 9)), int(rng.integers(1, 17))
         keep = int(rng.integers(1, L * S + 1))
         metrics = rng.standard_normal((L, S))
-        problem = PruneProblem(groups=metrics, keep=keep, stage1_keep=S)
-        got = sorted(c.metric for c in full_prune(problem))
+        got = _metrics(metrics, full_select(metrics, keep))
         ref = sorted(np.sort(metrics.ravel())[::-1][:keep])
         assert np.allclose(got, ref)
 
@@ -41,35 +42,31 @@ class TestTwoStagePrune:
     def test_pass_through_when_q_is_group_size(self):
         rng = np.random.default_rng(0)
         metrics = rng.standard_normal((4, 8))
-        a = PruneProblem(groups=metrics, keep=4, stage1_keep=8)
-        assert _metric_set(two_stage_prune(a)) == _metric_set(full_prune(a))
+        assert (set(_pairs(metrics, two_stage_select(metrics, 8, 4)))
+                == set(_pairs(metrics, full_select(metrics, 4))))
 
     def test_equal_example(self):
-        problem = PruneProblem(groups=[[9, 3, 5, 1], [8, 7, 2, 6]],
-                               keep=2, stage1_keep=1)
-        got = _metric_set(two_stage_prune(problem))
-        assert got == _metric_set(full_prune(problem)) == {(0, 0), (1, 0)}
+        groups = [[9, 3, 5, 1], [8, 7, 2, 6]]
+        got = set(_pairs(groups, two_stage_select(groups, 1, 2)))
+        assert got == set(_pairs(groups, full_select(groups, 2))) == {
+            (0, 0), (1, 0)}
 
     def test_approximation_exhibited(self):
         # q=1 keeps only one of the first group's two best
-        problem = PruneProblem(groups=[[9, 8, 1, 1], [7, 2, 2, 2]],
-                               keep=2, stage1_keep=1)
-        two = sorted(c.metric for c in two_stage_prune(problem))
-        full = sorted(c.metric for c in full_prune(problem))
-        assert two == [7, 9]
-        assert full == [8, 9]
+        groups = [[9, 8, 1, 1], [7, 2, 2, 2]]
+        assert _metrics(groups, two_stage_select(groups, 1, 2)) == [7, 9]
+        assert _metrics(groups, full_select(groups, 2)) == [8, 9]
 
     def test_output_subset_of_stage1(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             metrics = rng.standard_normal((4, 16))
             q = int(rng.integers(1, 5))
-            problem = PruneProblem(groups=metrics, keep=4, stage1_keep=q)
-            got = two_stage_prune(problem)
+            got = _pairs(metrics, two_stage_select(metrics, q, 4))
             assert len(got) == 4
-            for c in got:
-                row = metrics[c.parent_index]
-                rank = np.sum(row > row[c.symbol_value])
+            for parent, symbol in got:
+                row = metrics[parent]
+                rank = np.sum(row > row[symbol])
                 assert rank < q
 
     def test_monotonic_in_q(self):
@@ -101,16 +98,3 @@ class TestExactnessTheorem:
         a = exactness_check(4, 4, 2, trials=2000, seed=8)
         b = exactness_check(4, 4, 2, trials=2000, seed=8)
         assert a == b
-
-
-class TestCandidateApi:
-    def test_candidate_fields(self):
-        problem = PruneProblem(groups=[[5.0, 1.0]], keep=1, stage1_keep=2)
-        (c,) = full_prune(problem)
-        assert c == Candidate(parent_index=0, symbol_value=0, metric=5.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PruneProblem(groups=[[1.0]], keep=0, stage1_keep=1)
-        with pytest.raises(ValueError):
-            PruneProblem(groups=[[1.0]], keep=1, stage1_keep=0)

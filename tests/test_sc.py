@@ -221,7 +221,7 @@ class TestSymbolScDecode:
                     continue
                 table = exhaustive_symbol_metric(dense, y, sigma2, j, M, ref[: j * M])
                 cons = table[hyps]
-                k = (hyps.size - 1) - int(np.argmax(cons[::-1]))
+                k = int(np.argmax(cons))  # ties take the smallest symbol
                 sym = int(hyps[k])
                 ref[j * M : (j + 1) * M] = [(sym >> (M - 1 - t)) & 1 for t in range(M)]
             assert np.array_equal(got, ref)

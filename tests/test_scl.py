@@ -74,6 +74,36 @@ class TestSclDecode:
             assert np.array_equal(_best_path(hist, pm, alpha),
                                   sc_decode_batch(code, met))
 
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_l1_tie_order_matches_sc(self, m):
+        # all-zero metrics tie every hypothesis; SC and the list decoder at
+        # L = 1 share one tie order and take the smallest symbol each time
+        code = construct_code(4, 8)
+        part = partition_symbols(code, m)
+        zero = np.zeros((code.N, 2))
+        words = [sc_decode(code, zero), scl_decode(code, zero, 1),
+                 symbol_sc_decode(code, part, zero),
+                 symbol_scl_decode(code, part, zero, 1, 1)]
+        for word in words:
+            assert word.tolist() == [0] * code.N
+
+    @pytest.mark.parametrize("m,L", [(0, 1), (0, 4), (2, 1), (2, 4)])
+    def test_final_metrics_independent_of_trace_hook(self, m, L):
+        # frozen and L = 1 steps set the path metrics only where they are
+        # seen; the returned ones must equal those of a traced decode
+        rng = np.random.default_rng(6)
+        code = construct_code(6, 24)
+        part = partition_symbols(code, m)
+        met = initial_metrics(rng.normal(0, 1, (5, code.N)), 0.5)
+        seen = []
+        hook = lambda j, a, h, pm: seen.append(pm.copy())
+        hist, pm, alpha = symbol_scl_decode_batch(code, part, met, L, L)
+        hist_t, pm_t, alpha_t = symbol_scl_decode_batch(code, part, met, L, L,
+                                                        trace_hook=hook)
+        assert np.array_equal(hist, hist_t) and alpha == alpha_t
+        assert np.array_equal(pm, pm_t) and np.array_equal(pm, seen[-1])
+        assert np.all(np.isfinite(pm[:, :alpha]))
+
     def test_noiseless(self):
         rng = np.random.default_rng(1)
         code = construct_code(4, 8)

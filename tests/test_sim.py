@@ -3,7 +3,8 @@ import math
 import pytest
 
 from polarsim.cli import main as cli_main
-from polarsim.sim import CSV_HEADER, FerRecord, SimConfig, run_campaign, run_point
+from polarsim.sim import (CSV_HEADER, FerRecord, SimConfig, _auto_rounds,
+                          run_campaign, run_point)
 
 
 def _small_cfg(**kw):
@@ -34,6 +35,24 @@ class TestRunPoint:
         b = run_point(_small_cfg(batch_rounds=50), 2.0)
         assert (a.frames, a.frame_errors, a.bit_errors) == \
                (b.frames, b.frame_errors, b.bit_errors)
+
+    @pytest.mark.parametrize("kw,rounds", [
+        (dict(decoder="sc", list_size=8), 128),
+        (dict(decoder="ssc", list_size=32), 128),
+        (dict(decoder="sc", n=12), 128),
+        (dict(decoder="cascl", list_size=8, crc_width=16), 16),
+        (dict(decoder="sscl", list_size=8, stage1_keep=4), 16),
+        (dict(decoder="scl", list_size=32), 4),
+        (dict(decoder="scl", list_size=8, workers=2), 8),
+        (dict(decoder="sc", workers=3), 42),
+        (dict(decoder="scl", list_size=32, workers=8), 1),
+        (dict(decoder="cascl", list_size=8, crc_width=16, batch_rounds=5), 5),
+    ])
+    def test_automatic_batch_size(self, kw, rounds):
+        # list size counts only for the list decoders, which copy path
+        # state at every pruning step; SC batches stay at 128 frames
+        cfg = SimConfig(**dict(dict(n=10, K=512, workers=1), **kw))
+        assert _auto_rounds(cfg, cfg.build_code()) == rounds
 
     def test_early_stop_counts_through_stopping_frame(self):
         cfg = _small_cfg(max_frames=100000, max_frame_errors=20)
@@ -176,6 +195,9 @@ class TestConfigValidation:
         SimConfig(decoder="cascl", list_size=4, stage1_keep=0, crc_width=8)
 
 
+RUN = ["run", "--n", "16", "--k", "8", "--snr", "4.0", "--frames", "10"]
+
+
 class TestCli:
     def test_construct_emits_frozen_set(self, capsys):
         assert cli_main(["construct", "--n", "8", "--k", "4"]) == 0
@@ -211,14 +233,17 @@ class TestCli:
         assert CSV_HEADER in out
 
     @pytest.mark.parametrize("flags", [
-        ["--decoder", "cascl"],
-        ["--decoder", "sscl", "--list", "4", "--q", "8"],
-        ["--decoder", "scl", "--list", "3"],
+        RUN + ["--decoder", "cascl"],
+        RUN + ["--decoder", "sscl", "--list", "4", "--q", "8"],
+        RUN + ["--decoder", "scl", "--list", "3"],
+        ["cost", "--M", "4", "--L", "8", "--q", "3"],
+        ["cost", "--M", "3", "--L", "8", "--q", "4"],
+        ["cost", "--M", "4", "--L", "6", "--q", "4"],
     ])
     def test_run_rejects_bad_config_at_the_boundary(self, flags, capsys):
+        # `run` and `cost` both report bad input through the parser
         with pytest.raises(SystemExit) as exit_info:
-            cli_main(["run", "--n", "16", "--k", "8", "--snr", "4.0",
-                      "--frames", "10"] + flags)
+            cli_main(flags)
         assert exit_info.value.code == 2
         captured = capsys.readouterr()
         errors = [line for line in captured.err.splitlines()
