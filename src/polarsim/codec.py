@@ -72,32 +72,21 @@ def scatter_info_batch(code, info):
 
 @dataclass(frozen=True)
 class CrcSpec:
-    """CRC parameters: width, generator polynomial and register handling.
+    """CRC parameters: width, generator polynomial and initial register.
 
-    `poly` is the generator mask without the implicit leading 1. With
-    `reflect_in` the message bits enter the low end of a reflected register;
-    `reflect_out` bit-reverses the final register before `xor_out`.
+    `poly` is the generator mask without the implicit leading 1. Message
+    bits enter the high end of the register; the final register is the CRC.
     """
 
     width: int = 16
     poly: int = 0x1021
     init: int = 0xFFFF
-    reflect_in: bool = False
-    reflect_out: bool = False
-    xor_out: int = 0
 
     def __post_init__(self):
         if not 1 <= self.width <= 32:
             raise ValueError(f"CRC width must be in [1, 32], got {self.width}")
         if self.poly >> self.width:
             raise ValueError("poly does not fit in width bits")
-
-
-def _reflect(value, width):
-    out = np.zeros_like(value)
-    for k in range(width):
-        out |= ((value >> k) & 1) << (width - 1 - k)
-    return out
 
 
 def crc_value(bits, spec):
@@ -109,19 +98,11 @@ def crc_value(bits, spec):
     bits = np.asarray(bits, dtype=np.int64)
     reg = np.full(bits.shape[:-1], spec.init, dtype=np.int64)
     mask = (1 << spec.width) - 1
-    if spec.reflect_in:
-        rpoly = int(_reflect(np.int64(spec.poly), spec.width))
-        for k in range(bits.shape[-1]):
-            low = (reg ^ bits[..., k]) & 1
-            reg = (reg >> 1) ^ (low * rpoly)
-    else:
-        top = spec.width - 1
-        for k in range(bits.shape[-1]):
-            out = ((reg >> top) ^ bits[..., k]) & 1
-            reg = ((reg << 1) & mask) ^ (out * spec.poly)
-    if spec.reflect_out:
-        reg = _reflect(reg, spec.width)
-    return reg ^ spec.xor_out
+    top = spec.width - 1
+    for k in range(bits.shape[-1]):
+        out = ((reg >> top) ^ bits[..., k]) & 1
+        reg = ((reg << 1) & mask) ^ (out * spec.poly)
+    return reg
 
 
 def int_to_bits(values, width):
@@ -153,5 +134,5 @@ def verify_crc(block, spec):
 
 
 def crc16_ccitt():
-    """Default CRC: width 16, poly 0x1021, init 0xFFFF, no reflection."""
+    """Default CRC: width 16, poly 0x1021, init 0xFFFF (CRC-16/CCITT-FALSE)."""
     return CrcSpec()

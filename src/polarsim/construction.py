@@ -127,8 +127,7 @@ def load_frozen_set(path, N, K):
     return frozen
 
 
-def construct_code(n, K, design_snr_db=0.0, method="bhattacharyya",
-                   frozen_file=None, crc=None):
+def construct_code(n, K, design_snr_db=0.0, frozen_file=None, crc=None):
     """Build a PolarCode by choosing the K most reliable positions.
 
     Parameters
@@ -138,12 +137,11 @@ def construct_code(n, K, design_snr_db=0.0, method="bhattacharyya",
     K : int
         Number of information positions (payload + CRC bits).
     design_snr_db : float
-        Construction SNR in dB for the Bhattacharyya recursion.
-    method : {'bhattacharyya', 'file'}
-        'bhattacharyya' selects the K indices with smallest Z parameter;
-        'file' loads an explicit frozen set from `frozen_file`.
+        Construction SNR in dB for the Bhattacharyya recursion, which
+        selects the K indices with smallest Z parameter.
     frozen_file : str, optional
-        Path to a frozen-set file (one decimal index per line).
+        Path to a frozen-set file (one decimal index per line), loaded in
+        place of the recursion's choice.
     crc : CrcSpec, optional
         CRC attached inside the K information bits.
 
@@ -154,16 +152,12 @@ def construct_code(n, K, design_snr_db=0.0, method="bhattacharyya",
     N = 1 << n
     if not 0 < K <= N:
         raise ValueError(f"K must satisfy 0 < K <= N, got K={K}")
-    if method == "bhattacharyya":
+    if frozen_file:
+        frozen = load_frozen_set(frozen_file, N, K)
+    else:
         z = bhattacharyya_parameters(n, design_snr_db)
         # stable sort: ties keep the lower index, which freezes first
         frozen = np.sort(np.argsort(-z, kind="stable")[: N - K])
-    elif method == "file":
-        if frozen_file is None:
-            raise ValueError("method='file' requires frozen_file")
-        frozen = load_frozen_set(frozen_file, N, K)
-    else:
-        raise ValueError(f"unknown construction method: {method!r}")
     return PolarCode(n=n, K=K, frozen_set=frozen,
                      design_snr_db=design_snr_db, crc=crc)
 
@@ -191,10 +185,6 @@ class SymbolPartition:
     @property
     def symbol_count(self):
         return len(self.info_sets)
-
-    def info_counts(self):
-        """Number of information bits in each symbol."""
-        return np.array([s.size for s in self.info_sets])
 
     def hypotheses(self, j):
         """Consistent M-bit symbol values for symbol j, as integers.

@@ -161,8 +161,6 @@ def build_ctsn(M, L):
     _require_power_of_two(L, "L")
     if M < 0:
         raise ValueError("M must be >= 0")
-    if M > 0:
-        _require_power_of_two(1 << M, "2^M")
     total = (1 << M) * L
     blocks = [list(range(g * L, (g + 1) * L)) for g in range(1 << M)]
     if len(blocks) == 1:
@@ -180,6 +178,8 @@ def build_tstsn(M, L, q):
     """
     _require_power_of_two(L, "L")
     _require_power_of_two(q, "q")
+    if q > L:
+        raise ValueError(f"q must be at most L={L}, got {q}")
     if M < 1:
         raise ValueError("M must be >= 1")
     size = 1 << M

@@ -2,11 +2,13 @@
 
 The decoder state is a bank of metric-pair buffers organized by stage: stage
 0 holds the per-sample channel pairs, stage s holds one pair per node of
-block width 2^s. Working in the log domain turns the probability products
-into sums; products marginalized over a bit use the exact Jacobian logarithm
-max*(a, b) = max(a, b) + log(1 + exp(-|a - b|)). Halving constants are
-dropped throughout: they are shared by every hypothesis at a given step and
-cancel in all comparisons (the oracle module keeps them).
+block width 2^s. Stage 0 is input, not path state: every list path reads the
+same channel pairs, so the bank holds the caller's array once per frame and
+never writes or reorders it. Working in the log domain turns the probability
+products into sums; products marginalized over a bit use the exact Jacobian
+logarithm max*(a, b) = max(a, b) + log(1 + exp(-|a - b|)). Halving constants
+are dropped throughout: they are shared by every hypothesis at a given step
+and cancel in all comparisons (the oracle module keeps them).
 
 A symbol-based decode of width M = 2^m runs M component decoders of length
 N/M over contiguous received chunks, then combines their per-stage output
@@ -128,22 +130,26 @@ class _PairBank:
     `up[s]` holds the latest pair emitted by each of the 2^(w-s) nodes of
     stage s; `ev[s]` holds each node's stored even-step bit decision (the
     partial sums fed back between stages).
+
+    Stage 0, `up[0]`, is the caller's float64 channel-pair array itself, of
+    shape lead + (width, 2) up to broadcasting: a list axis of size 1 shares
+    one frame's pairs among all its paths. It is read by broadcasting and
+    never written, and path reorders touch stages 1..w only; `ev[0]` is
+    written only by the final `feed`, after the last reorder.
     """
 
-    def __init__(self, lead, width):
+    def __init__(self, lead, channel_pairs):
+        width = channel_pairs.shape[-2]
         w = width.bit_length() - 1
         if width != 1 << w:
             raise ValueError(f"width must be a power of two, got {width}")
         self.lead = tuple(lead)
-        self.width = width
         self.w = w
-        self.up = [np.zeros(self.lead + (width >> s, 2)) for s in range(w + 1)]
+        # refresh(0) computes every stage above 0 before any is read
+        self.up = [channel_pairs] + [np.empty(self.lead + (width >> s, 2))
+                                     for s in range(1, w + 1)]
         self.ev = [np.zeros(self.lead + (width >> s,), dtype=np.int8)
                    for s in range(w + 1)]
-
-    def load(self, channel_pairs):
-        """Set the stage-0 pairs; shape lead + (width, 2), broadcastable."""
-        self.up[0][...] = channel_pairs
 
     def refresh(self, j):
         """Advance metric computation for bit index j; return the top pair.
@@ -180,14 +186,14 @@ class _PairBank:
 
     def take_static(self, idx, axis=1):
         """Reorder a leading axis with one shared index vector (growth phase)."""
-        for s in range(self.w + 1):
+        for s in range(1, self.w + 1):
             self.up[s] = np.take(self.up[s], idx, axis=axis)
             self.ev[s] = np.take(self.ev[s], idx, axis=axis)
 
     def gather_paths(self, idx):
         """Per-frame reorder of axis 1 (list axis): idx has shape (B, L)."""
         b = np.arange(idx.shape[0])[:, None]
-        for s in range(self.w + 1):
+        for s in range(1, self.w + 1):
             self.up[s] = self.up[s][b, idx]
             self.ev[s] = self.ev[s][b, idx]
 
@@ -211,25 +217,6 @@ def _bit_partition(code):
         part = partition_symbols(code, 0)
         object.__setattr__(code, "_bit_partition", part)
     return part
-
-
-@lru_cache(maxsize=None)
-def _symbol_bits(M):
-    """Tables indexed by symbol value: its M bits, MSB first, and the bits
-    fed back to the component decoders (no component axis for M = 1)."""
-    feed = symbol_component_bits(M)
-    return int_to_bits(np.arange(1 << M), M), feed[:, 0] if M == 1 else feed
-
-
-def _component_bank(lead, M, metrics):
-    """A bank of M component decoders of length N/M per unit of `lead`,
-    loaded with (B, N, 2) channel pairs; no component axis for M = 1."""
-    B, N = metrics.shape[:2]
-    comp = () if M == 1 else (M,)
-    bank = _PairBank(lead + comp, N // M)
-    bank.load(metrics.reshape((B,) + (1,) * (len(lead) - 1) + comp
-                              + (N // M, 2)))
-    return bank
 
 
 def _symbol_tables(pairs):

@@ -16,12 +16,22 @@ single survivor always extends path 0 and nothing is sorted or gathered.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from .codec import verify_crc
+from .codec import int_to_bits, verify_crc
 from .pruning import full_select, two_stage_select
-from .sc import (_bit_partition, _check_metrics, _component_bank, _symbol_bits,
-                 _symbol_tables)
+from .sc import (_PairBank, _bit_partition, _check_metrics, _symbol_tables,
+                 symbol_component_bits)
+
+
+@lru_cache(maxsize=None)
+def _symbol_bits(M):
+    """Tables indexed by symbol value: its M bits, MSB first, and the bits
+    fed back to the component decoders (no component axis for M = 1)."""
+    feed = symbol_component_bits(M)
+    return int_to_bits(np.arange(1 << M), M), feed[:, 0] if M == 1 else feed
 
 
 def _scl_loop(code, part, metrics, L, q, trace_hook=None, tables=None):
@@ -34,11 +44,16 @@ def _scl_loop(code, part, metrics, L, q, trace_hook=None, tables=None):
     if not 1 <= q <= L:
         raise ValueError(f"stage1 survivor count must be in [1, L], got {q}")
     metrics = np.asarray(metrics, dtype=np.float64)
-    B = metrics.shape[0]
+    B, N = metrics.shape[:2]
     M = part.M
-    # at L = 1 the bank has no list axis: the single path's state is a rank
-    # smaller, which makes each numpy call in refresh and feed cheaper
-    bank = _component_bank((B, L) if L > 1 else (B,), M, metrics)
+    # M component decoders of length N/M per path; no list axis at L = 1 (a
+    # rank smaller makes each numpy call in refresh and feed cheaper) and no
+    # component axis at M = 1. Stage 0 is the metrics themselves, with a
+    # size-1 list axis that every path shares
+    lead = (B, L) if L > 1 else (B,)
+    comp = (M,) if M > 1 else ()
+    bank = _PairBank(lead + comp, metrics.reshape(
+        (B,) + (1,) * (len(lead) - 1) + comp + (N // M, 2)))
     bits, feed = _symbol_bits(M)
     zero = np.zeros(bank.lead, dtype=np.int8)
     hist = np.zeros((B, L, code.N), dtype=np.int8)
@@ -91,12 +106,18 @@ def _scl_loop(code, part, metrics, L, q, trace_hook=None, tables=None):
                 # candidates in parent-major order; q >= L equals a full sort
                 flat = (full_select(cons, L) if q >= L
                         else two_stage_select(cons, q, L))
+                # fewer than L stage-1 survivors (alpha * q < L) are all kept;
+                # the rest of the list is padded with inactive entries
+                kept = flat.shape[1]
+                if kept < L:
+                    flat = np.pad(flat, ((0, 0), (0, L - kept)))
                 parents = flat // beta
                 bank.gather_paths(parents)
                 hist = hist[batch_idx, parents]
                 pm = np.take_along_axis(cons.reshape(B, -1), flat, axis=1)
+                pm[:, kept:] = -np.inf
                 sym = hyps[flat % beta]
-                alpha = L
+                alpha = kept
             hist[:, :, j * M : (j + 1) * M] = bits[sym]
             bank.feed(j, feed[sym])
         if trace_hook is not None:
@@ -159,7 +180,9 @@ def symbol_scl_decode_batch(code, part, metrics, list_size, stage1_keep,
     parent i with hypothesis k); otherwise each path expands to its beta
     candidates and the two-stage selection with per-group survivor count
     `stage1_keep` prunes back to L (a full sort, which selects the same, when
-    stage1_keep = L). `trace_hook` is called as in `scl_decode_batch`.
+    stage1_keep = L). When alpha * stage1_keep < L all stage-1 survivors are
+    kept and alpha becomes their count. `trace_hook` is called as in
+    `scl_decode_batch`.
     """
     return _scl_loop(code, part, metrics, list_size, stage1_keep, trace_hook)
 

@@ -116,10 +116,8 @@ class SimConfig:
                        init=(1 << self.crc_width) - 1)
 
     def build_code(self):
-        method = "file" if self.frozen_file else "bhattacharyya"
         return construct_code(self.n, self.K, design_snr_db=self.design_snr_db,
-                              method=method, frozen_file=self.frozen_file,
-                              crc=self.crc_spec())
+                              frozen_file=self.frozen_file, crc=self.crc_spec())
 
 
 @dataclass(frozen=True)

@@ -64,14 +64,14 @@ class TestConstructCode:
         code = construct_code(4, 9, design_snr_db=0.5)
         path = tmp_path / "frozen.txt"
         path.write_text("\n".join(str(i) for i in code.frozen_set) + "\n")
-        loaded = construct_code(4, 9, method="file", frozen_file=str(path))
+        loaded = construct_code(4, 9, frozen_file=str(path))
         assert np.array_equal(loaded.frozen_set, code.frozen_set)
 
     def test_frozen_file_wrong_cardinality(self, tmp_path):
         path = tmp_path / "frozen.txt"
         path.write_text("0\n1\n")
         with pytest.raises(ValueError):
-            construct_code(4, 9, method="file", frozen_file=str(path))
+            construct_code(4, 9, frozen_file=str(path))
 
     def test_frozen_file_malformed(self, tmp_path):
         path = tmp_path / "frozen.txt"

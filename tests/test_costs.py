@@ -74,6 +74,8 @@ class TestNetworkStructure:
             sorting_network_cost("ctsn", 2, 3)
         with pytest.raises(ValueError):
             sorting_network_cost("tstsn", 2, 4, 3)
+        with pytest.raises(ValueError, match="q must be at most L"):
+            sorting_network_cost("tstsn", 4, 8, 16)
 
     def test_levels_have_disjoint_wires(self):
         for net in (build_ctsn(3, 4), build_tstsn(4, 8, 4), build_tstsn(3, 4, 4)):
@@ -113,6 +115,24 @@ class TestNetworkExecution:
             sel = two_stage_select(values.reshape(L, 1 << M), q, L)
             ref = np.sort(values.reshape(L, -1).ravel()[sel])
             assert np.allclose(got, ref)
+
+    @pytest.mark.parametrize("M,L,q,alpha", [(2, 8, 1, 2), (3, 8, 2, 2),
+                                             (4, 16, 2, 4), (3, 4, 1, 1)])
+    def test_tstsn_with_idle_groups(self, M, L, q, alpha):
+        # with alpha live groups and alpha * q < L, the network's outputs
+        # are the alpha * q stage-1 survivors, sorted, then the -inf of the
+        # L - alpha idle groups: what two_stage_select keeps
+        rng = np.random.default_rng(M + L + q + alpha)
+        net = build_tstsn(M, L, q)
+        kept = alpha * min(q, 1 << M)
+        for _ in range(30):
+            values = np.full((L, 1 << M), -np.inf)
+            values[:alpha] = rng.standard_normal((alpha, 1 << M))
+            got = net.run(values.ravel())
+            sel = two_stage_select(values[:alpha], q, L)
+            assert sel.shape == (kept,)
+            assert np.array_equal(got[:kept], values[:alpha].ravel()[sel])
+            assert (got[kept:] == -np.inf).all()
 
     def test_tstsn_output_sorted(self):
         rng = np.random.default_rng(1)

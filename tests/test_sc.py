@@ -153,14 +153,25 @@ class TestScDecode:
                 ref[j] = 1 if pair[1] >= pair[0] else 0
             assert np.array_equal(got, ref)
 
+    def test_stage0_is_the_callers_array(self):
+        # every path reads the same channel pairs: stage 0 is the metric
+        # array itself, with a size-1 list axis, and reorders leave it alone
+        met = np.random.default_rng(3).normal(size=(2, 1, 8, 2))
+        bank = _PairBank((2, 4), met)
+        assert bank.up[0] is met
+        bank.refresh(0)
+        bank.take_static(np.array([0, 0, 1, 1]))
+        bank.gather_paths(np.array([[3, 2, 1, 0], [0, 0, 1, 1]]))
+        assert bank.up[0] is met
+        assert [u.shape[:2] for u in bank.up[1:]] == [(2, 4)] * 3
+
     def test_partial_sums_reencode_prefix(self):
         # after a complete decode every stage's stored feedback bits match an
         # independent recomputation of the transformed decided sequence
         rng = np.random.default_rng(8)
         code = construct_code(4, 10)
         _, met, _ = _transmit_code(code, rng, 0.6)
-        bank = _PairBank((1,), code.N)
-        bank.load(met[None])
+        bank = _PairBank((1,), met[None])
         frozen = code.frozen_mask()
         u = np.zeros(code.N, dtype=np.int8)
         for j in range(code.N):

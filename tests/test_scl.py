@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from polarsim.channel import initial_metrics, modulate
-from polarsim.codec import attach_crc, polar_encode, scatter_info
+from polarsim.codec import CrcSpec, attach_crc, polar_encode, scatter_info
 from polarsim.construction import construct_code, partition_symbols
 from polarsim.oracle import DenseCode, exhaustive_ml, exhaustive_symbol_metric
-from polarsim.sc import sc_decode, sc_decode_batch, symbol_sc_decode
-from polarsim.scl import (_best_path, ca_scl_decode, scl_decode,
-                          scl_decode_batch, symbol_scl_decode,
+from polarsim.sc import (sc_decode, sc_decode_batch, symbol_sc_decode,
+                         symbol_sc_decode_batch)
+from polarsim.scl import (_best_path, ca_scl_decode, ca_scl_decode_batch,
+                          scl_decode, scl_decode_batch, symbol_scl_decode,
                           symbol_scl_decode_batch)
 
 
@@ -280,6 +281,21 @@ class _ReferenceSymbolScl:
         return np.array(paths[order[0]][0]), states
 
 
+def _live_counts(part, L, q):
+    """Live list entries after each symbol, and the symbols whose pruning
+    step has fewer than L stage-1 survivors (alpha * q < L)."""
+    alpha, alphas, padded = 1, [], []
+    for j in range(part.symbol_count):
+        beta = part.hypotheses(j).size
+        if alpha * beta > L:
+            beta = min(q, beta)
+            if alpha * beta < L:
+                padded.append(j)
+        alpha = min(L, alpha * beta)
+        alphas.append(alpha)
+    return alphas, padded
+
+
 class TestSymbolSclDecode:
     def test_m1_qL_equals_scl_exactly(self):
         rng = np.random.default_rng(8)
@@ -360,6 +376,59 @@ class TestSymbolSclDecode:
             got = {tuple(hist[0, i].tolist()) for i in range(alpha)}
             assert got == set(ref_states[-1])
             assert np.array_equal(_best_path(hist, pm, alpha)[0], ref_out)
+
+    @pytest.mark.parametrize("n,K,m,L,q", [
+        (3, 5, 2, 8, 1), (3, 6, 2, 16, 2), (4, 8, 1, 8, 1), (4, 10, 2, 4, 1),
+        (4, 11, 2, 8, 1), (4, 11, 2, 8, 2)])
+    def test_fewer_than_l_over_q_live_paths(self, n, K, m, L, q):
+        # a pruning step with alpha * q < L keeps all its stage-1 survivors,
+        # sorted, and the rest of the list is inactive with metric -inf
+        code = construct_code(n, K)
+        part = partition_symbols(code, m)
+        alphas, padded = _live_counts(part, L, q)
+        assert padded
+        rng = np.random.default_rng(100 * n + K)
+        for _ in range(4):
+            _, y, met = _transmit(code, rng, 1.0)
+            ref_out, ref_states = _ReferenceSymbolScl(
+                code, part, y, 1.0, L, q).run()
+            got_states, got_alphas = [], []
+
+            def hook(j, a, h, pm):
+                got_alphas.append(a)
+                got_states.append(sorted(
+                    tuple(h[0, i, : (j + 1) * part.M].tolist())
+                    for i in range(a)))
+                assert np.isfinite(pm[:, :a]).all()
+                assert (pm[:, a:] == -np.inf).all()
+            hist, pm, alpha = symbol_scl_decode_batch(
+                code, part, met[None], L, q, trace_hook=hook)
+            assert got_alphas == alphas
+            assert got_states == [sorted(s) for s in ref_states]
+            assert np.array_equal(_best_path(hist, pm, alpha)[0], ref_out)
+
+    @pytest.mark.parametrize("L,q", [(8, 1), (16, 2)])
+    def test_fewer_than_l_over_q_live_paths_n1024(self, L, q):
+        code = construct_code(10, 256)
+        part = partition_symbols(code, 2)
+        alphas, padded = _live_counts(part, L, q)
+        assert padded
+        rng = np.random.default_rng(L + q)
+        frames = [_transmit(code, rng, 0.5) for _ in range(3)]
+        met = np.stack([f[2] for f in frames])
+        got_alphas = []
+        hist, pm, alpha = symbol_scl_decode_batch(
+            code, part, met, L, q,
+            trace_hook=lambda j, a, h, pm: got_alphas.append(a))
+        assert got_alphas == alphas
+        assert np.isfinite(pm[:, :alpha]).all()
+        assert (pm[:, alpha:] == -np.inf).all()
+        best = _best_path(hist, pm, alpha)
+        for b, (u, _, m_b) in enumerate(frames):
+            assert len({tuple(h) for h in hist[b, :alpha].tolist()}) == alpha
+            assert np.array_equal(best[b], u)
+            assert np.array_equal(symbol_scl_decode(code, part, m_b, L, q),
+                                  best[b])
 
     def test_q_validation(self):
         code = construct_code(3, 4)
@@ -442,3 +511,30 @@ def test_single_frame_rejects_bad_metrics(entry, bad):
                   "-inf": [0.0, -np.inf], "-inf pair": [-np.inf, -np.inf]}[bad]
     with pytest.raises(ValueError, match="metrics must"):
         decode(met)
+
+
+def _batch_decoders():
+    code = construct_code(6, 24, crc=CrcSpec(width=4, poly=0x3, init=0xF))
+    part = partition_symbols(code, 2)
+    return code, {
+        "sc_decode_batch": lambda m: sc_decode_batch(code, m),
+        "symbol_sc_decode_batch": lambda m: symbol_sc_decode_batch(
+            code, part, m),
+        "scl_decode_batch": lambda m: scl_decode_batch(code, m, 4)[0],
+        "ca_scl_decode_batch": lambda m: ca_scl_decode_batch(code, m, 4),
+        "symbol_scl_decode_batch": lambda m: symbol_scl_decode_batch(
+            code, part, m, 4, 2)[0],
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_batch_decoders()[1]))
+def test_batch_decoders_never_write_metrics(entry):
+    # the pair bank's stage 0 is the caller's metric array: a read-only
+    # array decodes to the same decisions as a writable copy
+    code, decoders = _batch_decoders()
+    rng = np.random.default_rng(17)
+    met = initial_metrics(rng.normal(1.0, 1.0, (6, code.N)), 0.5)
+    frozen = met.copy()
+    frozen.setflags(write=False)
+    decode = decoders[entry]
+    assert np.array_equal(decode(frozen), decode(met.copy()))

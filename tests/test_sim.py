@@ -239,6 +239,7 @@ class TestCli:
         ["cost", "--M", "4", "--L", "8", "--q", "3"],
         ["cost", "--M", "3", "--L", "8", "--q", "4"],
         ["cost", "--M", "4", "--L", "6", "--q", "4"],
+        ["cost", "--M", "4", "--L", "8", "--q", "16"],
     ])
     def test_run_rejects_bad_config_at_the_boundary(self, flags, capsys):
         # `run` and `cost` both report bad input through the parser
@@ -264,3 +265,13 @@ class TestCli:
             "--snr", "4.0", "--frames", "30", "--max-errors", "0",
             "--out", str(out)])
         assert rc == 0
+
+    def test_run_sscl_with_fewer_than_l_over_q_live_paths(self, capsys):
+        # at N = 64, K = 32 a pruning step meets alpha * q < L
+        rc = cli_main([
+            "run", "--n", "64", "--k", "32", "--decoder", "sscl",
+            "--symbol-bits", "4", "--list", "8", "--q", "1",
+            "--snr", "2.0", "--frames", "20", "--max-errors", "0"])
+        assert rc == 0
+        out = capsys.readouterr().out.strip().split("\n")
+        assert out[0] == CSV_HEADER and out[1].startswith("2,20,")
