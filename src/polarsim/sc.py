@@ -134,8 +134,15 @@ class _PairBank:
     Stage 0, `up[0]`, is the caller's float64 channel-pair array itself, of
     shape lead + (width, 2) up to broadcasting: a list axis of size 1 shares
     one frame's pairs among all its paths. It is read by broadcasting and
-    never written, and path reorders touch stages 1..w only; `ev[0]` is
-    written only by the final `feed`, after the last reorder.
+    never written; `ev[0]` is written only by the final `feed`.
+
+    List-axis (axis 1) reorders are deferred, the vectorized form of Tal and
+    Vardy's lazy copy: `take_static` and `gather_paths` move no stage data;
+    a stage is reordered when `refresh` or `feed` next reads it, and not at
+    all when it is overwritten first. `t` counts reorders; stage s of `up`
+    (k = 0) or `ev` (k = 1) was last in order at reorder count
+    `epoch[k][s]`, and `chain[e]` is the pending (B, L) index from epoch e's
+    order to the current one. At L = 1 nothing is reordered and `t` stays 0.
     """
 
     def __init__(self, lead, channel_pairs):
@@ -150,6 +157,18 @@ class _PairBank:
                                      for s in range(1, w + 1)]
         self.ev = [np.zeros(self.lead + (width >> s,), dtype=np.int8)
                    for s in range(w + 1)]
+        self.t = 0
+        self.epoch = ([0] * (w + 1), [0] * (w + 1))
+        self.chain = {}
+        self._b = np.arange(self.lead[0])[:, None]
+
+    def _settle(self, k, s):
+        """Apply the pending reorder of stage s of `up` (k = 0) or `ev`."""
+        e = self.epoch[k][s]
+        if e != self.t:
+            arrs = (self.up, self.ev)[k]
+            arrs[s] = arrs[s][self._b, self.chain[e]]
+            self.epoch[k][s] = self.t
 
     def refresh(self, j):
         """Advance metric computation for bit index j; return the top pair.
@@ -157,10 +176,17 @@ class _PairBank:
         Stage s recomputes when j is a multiple of 2^(w-s): with the partner
         bit still undecided it marginalizes (check form), afterwards it uses
         the stored partial sum (combine form). At j > 0 the lowest stage
-        recomputed, w - tz(j), is the one in combine form.
+        recomputed, d = w - tz(j), is the one in combine form; it reads
+        `up[d-1]` and `ev[d]`, and every stage of `up` from d on is
+        overwritten.
         """
         d = self.w - ((j & -j).bit_length() - 1) if j else 0
-        for s in range(max(d, 1), self.w + 1):
+        lo = max(d, 1)
+        if self.t:
+            self._settle(0, lo - 1)
+            self._settle(1, d)
+            self.epoch[0][lo:] = [self.t] * (self.w + 1 - lo)
+        for s in range(lo, self.w + 1):
             below = self.up[s - 1]
             upper, lower = below[..., 0::2, :], below[..., 1::2, :]
             if s == d:
@@ -170,32 +196,39 @@ class _PairBank:
         return self.up[self.w][..., 0, :]
 
     def feed(self, j, bits):
-        """Record decided bit j (shape = lead) and cascade partial sums."""
+        """Record decided bit j (shape = lead) and cascade partial sums:
+        read `ev[s]` for s = w, ..., stop + 1 and overwrite `ev[stop]`."""
         cur = np.asarray(bits, dtype=np.int8).reshape(self.lead + (1,))
-        s = self.w
-        t = j
-        while (t & 1) and s > 0:
+        stop = max(self.w - ((j + 1) & -(j + 1)).bit_length() + 1, 0)
+        if self.t:
+            for s in range(stop + 1, self.w + 1):
+                self._settle(1, s)
+            self.epoch[1][stop] = self.t
+        for s in range(self.w, stop, -1):
             upper = self.ev[s] ^ cur
             nxt = np.empty(self.lead + (2 * upper.shape[-1],), dtype=np.int8)
             nxt[..., 0::2] = upper
             nxt[..., 1::2] = cur
             cur = nxt
-            s -= 1
-            t >>= 1
-        self.ev[s][...] = cur
+        self.ev[stop][...] = cur
 
-    def take_static(self, idx, axis=1):
-        """Reorder a leading axis with one shared index vector (growth phase)."""
-        for s in range(1, self.w + 1):
-            self.up[s] = np.take(self.up[s], idx, axis=axis)
-            self.ev[s] = np.take(self.ev[s], idx, axis=axis)
+    def _defer(self, idx):
+        """Compose a (B, L) reorder into each live epoch's pending index."""
+        t = self.t
+        live = set(self.epoch[0]).union(self.epoch[1])
+        self.chain = {e: idx if e == t else self.chain[e][self._b, idx]
+                      for e in live}
+        self.t = t + 1
+        # stage 0 is never reordered
+        self.epoch[0][0] = self.epoch[1][0] = self.t
+
+    def take_static(self, idx):
+        """Reorder the list axis with one shared (L,) index (growth phase)."""
+        self._defer(np.broadcast_to(idx, self.lead[:2]))
 
     def gather_paths(self, idx):
-        """Per-frame reorder of axis 1 (list axis): idx has shape (B, L)."""
-        b = np.arange(idx.shape[0])[:, None]
-        for s in range(1, self.w + 1):
-            self.up[s] = self.up[s][b, idx]
-            self.ev[s] = self.ev[s][b, idx]
+        """Per-frame reorder of the list axis: idx has shape (B, L)."""
+        self._defer(idx)
 
 
 def _check_metrics(code, metrics):
@@ -208,6 +241,17 @@ def _check_metrics(code, metrics):
     if not np.isfinite(metrics).all():
         raise ValueError("metrics must be finite, got NaN or infinity")
     return metrics
+
+
+def _check_partition(code, part):
+    """A symbol partition checked at the single-frame boundary: one built
+    from another code (other N or frozen set) raises ValueError."""
+    frozen = np.concatenate(part.frozen_sets)
+    if part.M * part.symbol_count != code.N or not np.array_equal(
+            frozen, code.frozen_set):
+        raise ValueError("symbol partition does not match the code's length "
+                         "and frozen set")
+    return part
 
 
 def _bit_partition(code):
@@ -268,5 +312,5 @@ def symbol_sc_decode_batch(code, part, metrics, record_tables=False):
 
 def symbol_sc_decode(code, part, metrics):
     """Symbol-based SC decode of one frame."""
-    return symbol_sc_decode_batch(code, part,
+    return symbol_sc_decode_batch(code, _check_partition(code, part),
                                   _check_metrics(code, metrics)[None])[0]

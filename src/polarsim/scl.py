@@ -8,9 +8,11 @@ step are directly comparable. Pruning uses the selection primitives from
 the returned word is the path with the highest final metric (lowest list
 index on ties).
 
-Path state lives in one vectorized bank per decode; pruning reorders the
-bank's list axis with gather operations, which is observably equivalent to
-cloning each surviving path. SC decoding is this loop at L = 1, where the
+Path state lives in one vectorized bank per decode. Pruning hands the bank
+each survivor's parent index, and the bank defers the reorder: a stage is
+gathered only when the decode next reads it (a lazy copy), which is
+observably equivalent to cloning each surviving path. The path histories
+are gathered at every prune. SC decoding is this loop at L = 1, where the
 single survivor always extends path 0 and nothing is sorted or gathered.
 """
 
@@ -22,8 +24,8 @@ import numpy as np
 
 from .codec import int_to_bits, verify_crc
 from .pruning import full_select, two_stage_select
-from .sc import (_PairBank, _bit_partition, _check_metrics, _symbol_tables,
-                 symbol_component_bits)
+from .sc import (_PairBank, _bit_partition, _check_metrics, _check_partition,
+                 _symbol_tables, symbol_component_bits)
 
 
 @lru_cache(maxsize=None)
@@ -194,5 +196,6 @@ def symbol_scl_decode(code, part, metrics, list_size, stage1_keep):
     """
     metrics = _check_metrics(code, metrics)
     hist, pm, alpha = symbol_scl_decode_batch(
-        code, part, metrics[None], list_size, stage1_keep)
+        code, _check_partition(code, part), metrics[None], list_size,
+        stage1_keep)
     return _best_path(hist, pm, alpha)[0]

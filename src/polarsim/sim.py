@@ -87,6 +87,10 @@ class SimConfig:
         if self.decoder in _LIST_DECODERS and (L < 1 or L & (L - 1)):
             raise ValueError(f"list_size must be a power of two >= 1 for "
                              f"{self.decoder}, got {L}")
+        if self.decoder in ("ssc", "sscl") and self.symbol_bits > 1 << self.n:
+            raise ValueError(f"symbol_bits must be at most the block length "
+                             f"{1 << self.n} for {self.decoder}, got "
+                             f"{self.symbol_bits}")
         if self.decoder == "sscl" and not 1 <= q <= L:
             raise ValueError(f"stage1_keep must be in [1, list_size={L}], "
                              f"got {q}")
@@ -154,16 +158,13 @@ def _make_decoder(cfg, code):
     return lambda m: decode(m, code, part, cfg)
 
 
-def _auto_rounds(cfg, code):
-    """Rounds per batch: 128 frames, fewer for a list decoder, which copies
-    its N * L entries of path state per frame at every pruning step; a
-    batch's copy is kept near 2^17 entries (16 frames at N = 1024, L = 8)."""
+def _auto_rounds(cfg):
+    """Rounds per batch: 128 frames, shared among the workers. List
+    decoders take the same size: their path reorders are lazy, so a larger
+    batch does not cost more per frame."""
     if cfg.batch_rounds > 0:
         return cfg.batch_rounds
-    frames = 128
-    if cfg.decoder in _LIST_DECODERS:
-        frames = min(frames, (1 << 17) // (code.N * cfg.list_size))
-    return max(1, frames // cfg.workers)
+    return max(1, 128 // cfg.workers)
 
 
 def run_point(cfg, snr_db, code=None):
@@ -183,7 +184,7 @@ def run_point(cfg, snr_db, code=None):
     W = cfg.workers
     rngs = [np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(w,)))
             for w in range(W)]
-    rounds_per_batch = _auto_rounds(cfg, code)
+    rounds_per_batch = _auto_rounds(cfg)
     crc = code.crc
 
     start = time.perf_counter()

@@ -17,6 +17,21 @@ def _random_pairs(rng, shape=()):
     return rng.normal(0, 2, size=shape + (2,))
 
 
+class _EagerBank(_PairBank):
+    """Reference bank that reorders stages 1..w of the list axis at once."""
+
+    def take_static(self, idx):
+        for s in range(1, self.w + 1):
+            self.up[s] = np.take(self.up[s], idx, axis=1)
+            self.ev[s] = np.take(self.ev[s], idx, axis=1)
+
+    def gather_paths(self, idx):
+        b = np.arange(idx.shape[0])[:, None]
+        for s in range(1, self.w + 1):
+            self.up[s] = self.up[s][b, idx]
+            self.ev[s] = self.ev[s][b, idx]
+
+
 class TestTransformCheck:
     def test_symmetric_inputs(self):
         out = transform_check(np.zeros(2), np.zeros(2))
@@ -164,6 +179,70 @@ class TestScDecode:
         bank.gather_paths(np.array([[3, 2, 1, 0], [0, 0, 1, 1]]))
         assert bank.up[0] is met
         assert [u.shape[:2] for u in bank.up[1:]] == [(2, 4)] * 3
+
+    @pytest.mark.parametrize("M", [1, 4])
+    def test_lazy_reorders_equal_eager_reorders(self, M):
+        # random reorders between refresh and feed: the lazy bank returns
+        # the same top pairs and, once its pending reorders are applied,
+        # holds the same stages as a bank that reorders at once
+        rng = np.random.default_rng(20 + M)
+        B, L, width = 3, 4, 16
+        comp = (M,) if M > 1 else ()
+        met = rng.normal(size=(B, 1) + comp + (width, 2))
+        lazy = _PairBank((B, L) + comp, met)
+        eager = _EagerBank((B, L) + comp, met)
+
+        def reorder():
+            for _ in range(rng.integers(0, 3)):
+                if rng.random() < 0.3:
+                    idx = rng.integers(0, L, size=L)
+                    lazy.take_static(idx)
+                    eager.take_static(idx)
+                else:
+                    idx = rng.integers(0, L, size=(B, L))
+                    lazy.gather_paths(idx)
+                    eager.gather_paths(idx)
+                assert_same_stages()
+
+        def assert_same_stages():
+            b = np.arange(B)[:, None]
+            for k, (got, want) in enumerate(((lazy.up, eager.up),
+                                             (lazy.ev, eager.ev))):
+                for s in range(1, lazy.w + 1):
+                    e = lazy.epoch[k][s]
+                    arr = got[s] if e == lazy.t else got[s][b, lazy.chain[e]]
+                    assert np.array_equal(arr, want[s]), (k, s)
+
+        for j in range(width):
+            assert np.array_equal(lazy.refresh(j), eager.refresh(j))
+            assert_same_stages()
+            reorder()
+            bits = rng.integers(0, 2, size=(B, L) + comp)
+            lazy.feed(j, bits)
+            eager.feed(j, bits)
+            assert_same_stages()
+            reorder()
+        assert lazy.t > 0 and np.array_equal(lazy.ev[0], eager.ev[0])
+
+    def test_l1_decodes_create_no_pending_reorder(self, monkeypatch):
+        from polarsim import scl
+        banks = []
+
+        class Recorded(_PairBank):
+            def __init__(self, *args):
+                super().__init__(*args)
+                banks.append(self)
+
+        monkeypatch.setattr(scl, "_PairBank", Recorded)
+        code = construct_code(6, 24)
+        met = initial_metrics(np.random.default_rng(4).normal(
+            1.0, 1.0, (5, code.N)), 0.5)
+        sc_decode_batch(code, met)
+        symbol_sc_decode_batch(code, partition_symbols(code, 2), met)
+        assert len(banks) == 2
+        assert all(bank.t == 0 and not bank.chain for bank in banks)
+        scl.scl_decode_batch(code, met, 4)
+        assert banks[-1].t > 0
 
     def test_partial_sums_reencode_prefix(self):
         # after a complete decode every stage's stored feedback bits match an

@@ -513,6 +513,21 @@ def test_single_frame_rejects_bad_metrics(entry, bad):
         decode(met)
 
 
+@pytest.mark.parametrize("other", [(5, 16), (6, 40), (6, 32, 4.0)])
+@pytest.mark.parametrize("decode", [
+    symbol_sc_decode,
+    lambda code, part, met: symbol_scl_decode(code, part, met, 4, 2),
+])
+def test_symbol_decoders_reject_another_codes_partition(other, decode):
+    # a partition of a shorter code, or of one with another frozen set
+    code = construct_code(6, 32)
+    met = initial_metrics(modulate(np.zeros(code.N, int)), 0.5)
+    assert not decode(code, partition_symbols(code, 2), met).any()
+    foreign = partition_symbols(construct_code(*other), 2)
+    with pytest.raises(ValueError, match="partition does not match"):
+        decode(code, foreign, met)
+
+
 def _batch_decoders():
     code = construct_code(6, 24, crc=CrcSpec(width=4, poly=0x3, init=0xF))
     part = partition_symbols(code, 2)

@@ -40,19 +40,20 @@ class TestRunPoint:
         (dict(decoder="sc", list_size=8), 128),
         (dict(decoder="ssc", list_size=32), 128),
         (dict(decoder="sc", n=12), 128),
-        (dict(decoder="cascl", list_size=8, crc_width=16), 16),
-        (dict(decoder="sscl", list_size=8, stage1_keep=4), 16),
-        (dict(decoder="scl", list_size=32), 4),
-        (dict(decoder="scl", list_size=8, workers=2), 8),
+        (dict(decoder="cascl", list_size=8, crc_width=16), 128),
+        (dict(decoder="sscl", list_size=8, stage1_keep=4), 128),
+        (dict(decoder="scl", list_size=32), 128),
+        (dict(decoder="scl", list_size=8, workers=2), 64),
         (dict(decoder="sc", workers=3), 42),
-        (dict(decoder="scl", list_size=32, workers=8), 1),
+        (dict(decoder="scl", list_size=32, workers=8), 16),
+        (dict(decoder="sc", workers=200), 1),
         (dict(decoder="cascl", list_size=8, crc_width=16, batch_rounds=5), 5),
     ])
     def test_automatic_batch_size(self, kw, rounds):
-        # list size counts only for the list decoders, which copy path
-        # state at every pruning step; SC batches stay at 128 frames
+        # 128 frames per batch, shared among the workers, for every decoder:
+        # list decoders reorder their path state lazily
         cfg = SimConfig(**dict(dict(n=10, K=512, workers=1), **kw))
-        assert _auto_rounds(cfg, cfg.build_code()) == rounds
+        assert _auto_rounds(cfg) == rounds
 
     def test_early_stop_counts_through_stopping_frame(self):
         cfg = _small_cfg(max_frames=100000, max_frame_errors=20)
@@ -187,12 +188,20 @@ class TestConfigValidation:
             SimConfig(decoder=decoder, list_size=L, stage1_keep=1,
                       crc_width=8)
 
+    @pytest.mark.parametrize("decoder", ["ssc", "sscl"])
+    def test_rejects_symbol_wider_than_block(self, decoder):
+        SimConfig(n=4, K=8, decoder=decoder, symbol_bits=16)
+        with pytest.raises(ValueError, match="symbol_bits"):
+            SimConfig(n=4, K=8, decoder=decoder, symbol_bits=32)
+
     def test_ignored_fields_are_not_checked(self):
-        # sc and ssc have no list; scl and cascl take no stage-1 count
+        # sc and ssc have no list; scl and cascl take no stage-1 count; the
+        # bit decoders take no symbol width
         for decoder in ("sc", "ssc"):
             SimConfig(decoder=decoder, list_size=3, stage1_keep=9)
         SimConfig(decoder="scl", list_size=4, stage1_keep=9)
         SimConfig(decoder="cascl", list_size=4, stage1_keep=0, crc_width=8)
+        SimConfig(n=4, K=8, decoder="sc", symbol_bits=32)
 
 
 RUN = ["run", "--n", "16", "--k", "8", "--snr", "4.0", "--frames", "10"]
@@ -236,6 +245,7 @@ class TestCli:
         RUN + ["--decoder", "cascl"],
         RUN + ["--decoder", "sscl", "--list", "4", "--q", "8"],
         RUN + ["--decoder", "scl", "--list", "3"],
+        RUN + ["--decoder", "ssc", "--symbol-bits", "32"],
         ["cost", "--M", "4", "--L", "8", "--q", "3"],
         ["cost", "--M", "3", "--L", "8", "--q", "4"],
         ["cost", "--M", "4", "--L", "6", "--q", "4"],
