@@ -181,7 +181,7 @@ class _PairBank:
         overwritten.
         """
         d = self.w - ((j & -j).bit_length() - 1) if j else 0
-        lo = max(d, 1)
+        lo = d or 1
         if self.t:
             self._settle(0, lo - 1)
             self._settle(1, d)
@@ -199,7 +199,8 @@ class _PairBank:
         """Record decided bit j (shape = lead) and cascade partial sums:
         read `ev[s]` for s = w, ..., stop + 1 and overwrite `ev[stop]`."""
         cur = np.asarray(bits, dtype=np.int8).reshape(self.lead + (1,))
-        stop = max(self.w - ((j + 1) & -(j + 1)).bit_length() + 1, 0)
+        # j < 2^w has at most w trailing one bits, so stop >= 0
+        stop = self.w + 1 - ((j + 1) & -(j + 1)).bit_length()
         if self.t:
             for s in range(stop + 1, self.w + 1):
                 self._settle(1, s)
