@@ -517,7 +517,7 @@ def test_single_frame_rejects_bad_metrics(entry, bad):
 @pytest.mark.parametrize("decode", [
     symbol_sc_decode,
     lambda code, part, met: symbol_scl_decode(code, part, met, 4, 2),
-])
+], ids=["symbol_sc_decode", "symbol_scl_decode"])
 def test_symbol_decoders_reject_another_codes_partition(other, decode):
     # a partition of a shorter code, or of one with another frozen set
     code = construct_code(6, 32)

@@ -46,8 +46,8 @@ class TestRunPoint:
         (dict(decoder="scl", list_size=8, workers=2), 64),
         (dict(decoder="sc", workers=3), 42),
         (dict(decoder="scl", list_size=32, workers=8), 16),
-        (dict(decoder="sc", workers=200), 1),
         (dict(decoder="cascl", list_size=8, crc_width=16, batch_rounds=5), 5),
+        (dict(decoder="sc", workers=200), 1),
     ])
     def test_automatic_batch_size(self, kw, rounds):
         # 128 frames per batch, shared among the workers, for every decoder:
@@ -245,11 +245,11 @@ class TestCli:
         RUN + ["--decoder", "cascl"],
         RUN + ["--decoder", "sscl", "--list", "4", "--q", "8"],
         RUN + ["--decoder", "scl", "--list", "3"],
-        RUN + ["--decoder", "ssc", "--symbol-bits", "32"],
         ["cost", "--M", "4", "--L", "8", "--q", "3"],
         ["cost", "--M", "3", "--L", "8", "--q", "4"],
         ["cost", "--M", "4", "--L", "6", "--q", "4"],
         ["cost", "--M", "4", "--L", "8", "--q", "16"],
+        RUN + ["--decoder", "ssc", "--symbol-bits", "32"],
     ])
     def test_run_rejects_bad_config_at_the_boundary(self, flags, capsys):
         # `run` and `cost` both report bad input through the parser
