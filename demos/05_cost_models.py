@@ -2,9 +2,8 @@
 
 import numpy as np
 
-from polarsim import (channel_combination_additions, ml_detector_additions,
-                      sorting_network_cost)
-from polarsim.costs import build_ctsn
+from polarsim import (build_ctsn, build_tstsn, channel_combination_additions,
+                      ml_detector_additions)
 
 # Computing all 2^M symbol metrics directly costs (M-1) additions each; the
 # recursive combination pays one addition per table entry across its stages
@@ -17,11 +16,11 @@ for M in (2, 4, 8, 16):
 
 # Selection networks for the worst-case list pruning step of a symbol
 # decoder with M=4, L=8: 128 candidates in, 8 survivors out.
-ctsn = sorting_network_cost("ctsn", 4, 8)
+ctsn = build_ctsn(4, 8)
 print(f"\nconventional tree ({ctsn.label}): "
       f"{ctsn.comparators} comparators, depth {ctsn.depth}")
 for q in (8, 4, 2):
-    r = sorting_network_cost("tstsn", 4, 8, q)
+    r = build_tstsn(4, 8, q)
     print(f"two-stage tree ({r.label}): "
           f"{r.comparators} comparators, depth {r.depth}")
 

@@ -5,8 +5,8 @@ from .codec import (CrcSpec, attach_crc, crc16_ccitt, crc_value, polar_encode,
                     scatter_info, verify_crc)
 from .construction import (PolarCode, SymbolPartition, bit_reversal_permutation,
                            construct_code, load_frozen_set, partition_symbols)
-from .costs import (channel_combination_additions, ml_detector_additions,
-                    sorting_network_cost)
+from .costs import (build_ctsn, build_tstsn, channel_combination_additions,
+                    ml_detector_additions)
 from .oracle import DenseCode, exhaustive_ml, exhaustive_symbol_metric
 from .pruning import exactness_check, full_select, two_stage_select
 from .sc import (channel_combine, sc_decode, symbol_sc_decode, transform_check,
@@ -20,8 +20,8 @@ __all__ = [
     "scatter_info", "verify_crc",
     "PolarCode", "SymbolPartition", "bit_reversal_permutation",
     "construct_code", "load_frozen_set", "partition_symbols",
-    "channel_combination_additions", "ml_detector_additions",
-    "sorting_network_cost",
+    "build_ctsn", "build_tstsn", "channel_combination_additions",
+    "ml_detector_additions",
     "DenseCode", "exhaustive_ml", "exhaustive_symbol_metric",
     "exactness_check", "full_select", "two_stage_select",
     "channel_combine", "sc_decode", "symbol_sc_decode",

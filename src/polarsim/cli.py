@@ -6,8 +6,8 @@ import argparse
 import sys
 
 from .construction import construct_code
-from .costs import (channel_combination_additions, ml_detector_additions,
-                    sorting_network_cost)
+from .costs import (build_ctsn, build_tstsn, channel_combination_additions,
+                    ml_detector_additions)
 from .sim import CSV_HEADER, DECODERS, SimConfig, run_campaign
 
 
@@ -98,8 +98,8 @@ def _cmd_cost(args, parser):
             ("recursive_combination_additions",
              channel_combination_additions(M), ""),
         ]
-        ctsn = sorting_network_cost("ctsn", M, L)
-        tstsn = sorting_network_cost("tstsn", M, L, q)
+        ctsn = build_ctsn(M, L)
+        tstsn = build_tstsn(M, L, q)
     except ValueError as exc:
         parser.error(str(exc))
     rows += [

@@ -162,21 +162,27 @@ def construct_code(n, K, design_snr_db=0.0, frozen_file=None, crc=None):
                      design_snr_db=design_snr_db, crc=crc)
 
 
+# Widest symbol the symbol decoders take: each symbol step builds 2^M-entry
+# tables, which at M = 32 would take gigabytes.
+MAX_SYMBOL_BITS = 16
+
+
 @dataclass(frozen=True, eq=False)
 class SymbolPartition:
     """Partition of {0..N-1} into N/M contiguous M-bit symbols.
 
-    For symbol j, `info_sets[j]` and `frozen_sets[j]` are the intersections
-    of [jM, jM+M) with the code's information and frozen sets; they always
-    partition the symbol's index range.
+    `frozen` is the code's frozen mask as an (N/M, M) array, row j covering
+    indices [jM, jM+M). `hypotheses[j]` lists, ascending, the M-bit symbol
+    values that are zero at every frozen position of symbol j: entry k
+    carries the bits of k (MSB first) in the symbol's information positions,
+    in ascending index order. Bit 0 of a symbol integer is its last
+    (highest-index) bit. All arrays are read-only, and symbols with the same
+    frozen pattern share one hypothesis array.
     """
 
     m: int
-    info_sets: tuple
-    frozen_sets: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hypothesis_cache", {})
+    frozen: np.ndarray
+    hypotheses: tuple
 
     @property
     def M(self):
@@ -184,29 +190,7 @@ class SymbolPartition:
 
     @property
     def symbol_count(self):
-        return len(self.info_sets)
-
-    def hypotheses(self, j):
-        """Consistent M-bit symbol values for symbol j, as integers.
-
-        Entry k is the symbol whose information positions carry the bits of
-        k (MSB first, ascending index order) and whose frozen positions are
-        zero. Bit 0 of a symbol integer is its last (highest-index) bit.
-        """
-        cached = self._hypothesis_cache.get(j)
-        if cached is not None:
-            return cached
-        M = self.M
-        base = j * M
-        info = self.info_sets[j] - base
-        width = info.size
-        k = np.arange(1 << width)
-        sym = np.zeros_like(k)
-        for pos, idx in enumerate(info):
-            bit = (k >> (width - 1 - pos)) & 1
-            sym |= bit << (M - 1 - idx)
-        self._hypothesis_cache[j] = sym
-        return sym
+        return len(self.hypotheses)
 
 
 def partition_symbols(code, m):
@@ -216,18 +200,22 @@ def partition_symbols(code, m):
     ----------
     code : PolarCode
     m : int
-        Symbol width exponent, 0 <= m <= code.n. M = 2^m bits per symbol.
+        Symbol width exponent, 0 <= m <= code.n and 2^m <= MAX_SYMBOL_BITS.
+        M = 2^m bits per symbol.
     """
-    if not 0 <= m <= code.n:
-        raise ValueError(f"m must satisfy 0 <= m <= n={code.n}, got {m}")
+    m_max = min(code.n, MAX_SYMBOL_BITS.bit_length() - 1)
+    if not 0 <= m <= m_max:
+        raise ValueError(f"m must satisfy 0 <= m <= {m_max} (n={code.n}, "
+                         f"M <= {MAX_SYMBOL_BITS}), got {m}")
     M = 1 << m
-    frozen_mask = code.frozen_mask()
-    info_sets = []
-    frozen_sets = []
-    for j in range(code.N // M):
-        span = np.arange(j * M, (j + 1) * M, dtype=np.int64)
-        inside = frozen_mask[span]
-        info_sets.append(span[~inside])
-        frozen_sets.append(span[inside])
-    return SymbolPartition(m=m, info_sets=tuple(info_sets),
-                           frozen_sets=tuple(frozen_sets))
+    frozen = code.frozen_mask().reshape(-1, M)
+    frozen.flags.writeable = False
+    # each row's frozen positions as an M-bit integer, MSB first
+    patterns, which = np.unique(frozen @ (1 << np.arange(M - 1, -1, -1)),
+                                return_inverse=True)
+    values = np.arange(1 << M)
+    shared = [values[(values & p) == 0] for p in patterns]
+    for hyps in shared:
+        hyps.flags.writeable = False
+    return SymbolPartition(m=m, frozen=frozen,
+                           hypotheses=tuple(shared[i] for i in which.tolist()))

@@ -219,24 +219,3 @@ def build_tstsn(M, L, q):
     return ComparatorNetwork(total, levels, blocks[0],
                              f"tstsn(M={M},L={L},q={q})")
 
-
-def sorting_network_cost(topology, M, L, q=None):
-    """The selection network of a topology, as a `ComparatorNetwork`; its
-    `comparators` and `depth` are the comparator count and critical-path
-    depth.
-
-    Parameters
-    ----------
-    topology : {'ctsn', 'tstsn'}
-    M, L : int
-        Group width exponent (2^M candidates per group) and survivor count.
-    q : int, required for 'tstsn'
-        Stage-1 survivors per group.
-    """
-    if topology == "ctsn":
-        return build_ctsn(M, L)
-    if topology == "tstsn":
-        if q is None:
-            raise ValueError("tstsn requires q")
-        return build_tstsn(M, L, q)
-    raise ValueError(f"unknown topology: {topology!r}")

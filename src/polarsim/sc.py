@@ -247,20 +247,9 @@ def _check_metrics(code, metrics):
 def _check_partition(code, part):
     """A symbol partition checked at the single-frame boundary: one built
     from another code (other N or frozen set) raises ValueError."""
-    frozen = np.concatenate(part.frozen_sets)
-    if part.M * part.symbol_count != code.N or not np.array_equal(
-            frozen, code.frozen_set):
+    if not np.array_equal(part.frozen.ravel(), code.frozen_mask()):
         raise ValueError("symbol partition does not match the code's length "
                          "and frozen set")
-    return part
-
-
-def _bit_partition(code):
-    """The code's 1-bit symbol partition, built once and kept on the code."""
-    part = code.__dict__.get("_bit_partition")
-    if part is None:
-        part = partition_symbols(code, 0)
-        object.__setattr__(code, "_bit_partition", part)
     return part
 
 
@@ -286,7 +275,7 @@ def sc_decode_batch(code, metrics):
     hypothesis maximizing the running metric pair, with ties resolved to 0
     (the list decoders' tie order: lower symbol value first).
     """
-    return _sc(code, _bit_partition(code), metrics)
+    return _sc(code, partition_symbols(code, 0), metrics)
 
 
 def sc_decode(code, metrics):

@@ -18,22 +18,13 @@ single survivor always extends path 0 and nothing is sorted or gathered.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .codec import int_to_bits, verify_crc
 from .pruning import full_select, two_stage_select
-from .sc import (_PairBank, _bit_partition, _check_metrics, _check_partition,
-                 _symbol_tables, symbol_component_bits)
-
-
-@lru_cache(maxsize=None)
-def _symbol_bits(M):
-    """Tables indexed by symbol value: its M bits, MSB first, and the bits
-    fed back to the component decoders (no component axis for M = 1)."""
-    feed = symbol_component_bits(M)
-    return int_to_bits(np.arange(1 << M), M), feed[:, 0] if M == 1 else feed
+from .construction import partition_symbols
+from .sc import (_PairBank, _check_metrics, _check_partition, _symbol_tables,
+                 symbol_component_bits)
 
 
 def _scl_loop(code, part, metrics, L, q, trace_hook=None, tables=None):
@@ -56,7 +47,12 @@ def _scl_loop(code, part, metrics, L, q, trace_hook=None, tables=None):
     comp = (M,) if M > 1 else ()
     bank = _PairBank(lead + comp, metrics.reshape(
         (B,) + (1,) * (len(lead) - 1) + comp + (N // M, 2)))
-    bits, feed = _symbol_bits(M)
+    # each symbol value's M bits (MSB first) and the bits it feeds back to
+    # the component decoders (no component axis at M = 1)
+    bits = int_to_bits(np.arange(1 << M), M)
+    feed = symbol_component_bits(M)
+    if M == 1:
+        feed = feed[:, 0]
     zero = np.zeros(bank.lead, dtype=np.int8)
     hist = np.zeros((B, L, code.N), dtype=np.int8)
     pm = np.full((B, L), -np.inf)
@@ -67,7 +63,7 @@ def _scl_loop(code, part, metrics, L, q, trace_hook=None, tables=None):
         pairs = bank.refresh(j)
         if L == 1:
             pairs = pairs[:, None]
-        hyps = part.hypotheses(j)
+        hyps = part.hypotheses[j]
         beta = hyps.size
         # selection reads the tables, never the path metrics, so a frozen or
         # L = 1 step sets them only where they are seen: in trace_hook and
@@ -137,7 +133,7 @@ def scl_decode_batch(code, metrics, list_size, trace_hook=None):
     given, is called as trace_hook(j, alpha, histories, metrics) after
     every bit.
     """
-    return _scl_loop(code, _bit_partition(code), metrics, list_size,
+    return _scl_loop(code, partition_symbols(code, 0), metrics, list_size,
                      list_size, trace_hook)
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .channel import initial_metrics, modulate, noise_sigma2
 from .codec import attach_crc, crc16_ccitt, encode_bits, scatter_info_batch
-from .construction import construct_code, partition_symbols
+from .construction import MAX_SYMBOL_BITS, construct_code, partition_symbols
 from .sc import sc_decode_batch, symbol_sc_decode_batch
 from .scl import (_best_path, ca_scl_decode_batch, scl_decode_batch,
                   symbol_scl_decode_batch)
@@ -87,10 +87,11 @@ class SimConfig:
         if self.decoder in _LIST_DECODERS and (L < 1 or L & (L - 1)):
             raise ValueError(f"list_size must be a power of two >= 1 for "
                              f"{self.decoder}, got {L}")
-        if self.decoder in ("ssc", "sscl") and self.symbol_bits > 1 << self.n:
-            raise ValueError(f"symbol_bits must be at most the block length "
-                             f"{1 << self.n} for {self.decoder}, got "
-                             f"{self.symbol_bits}")
+        widest = min(1 << self.n, MAX_SYMBOL_BITS)
+        if self.decoder in ("ssc", "sscl") and self.symbol_bits > widest:
+            raise ValueError(f"symbol_bits must be at most {widest} (the block "
+                             f"length, capped at {MAX_SYMBOL_BITS}) for "
+                             f"{self.decoder}, got {self.symbol_bits}")
         if self.decoder == "sscl" and not 1 <= q <= L:
             raise ValueError(f"stage1_keep must be in [1, list_size={L}], "
                              f"got {q}")

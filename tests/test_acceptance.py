@@ -9,8 +9,9 @@ import pytest
 from polarsim.channel import initial_metrics, modulate
 from polarsim.codec import polar_encode
 from polarsim.construction import construct_code, partition_symbols
-from polarsim.costs import (channel_combination_additions,
-                            ml_detector_additions, sorting_network_cost)
+from polarsim.costs import (build_ctsn, build_tstsn,
+                            channel_combination_additions,
+                            ml_detector_additions)
 from polarsim.oracle import (DenseCode, combination_identity_sides,
                              exhaustive_ml, exhaustive_symbol_metric)
 from polarsim.pruning import exactness_check
@@ -226,8 +227,8 @@ def test_q_degradation_direction():
 def test_sorting_network_dominance():
     """TSTSN(M=4, L=8, q=4) strictly beats CTSN(M=4, L=8) in comparator
     count and depth (area/delay figures are out of scope)."""
-    ctsn = sorting_network_cost("ctsn", 4, 8)
-    tstsn = sorting_network_cost("tstsn", 4, 8, 4)
+    ctsn = build_ctsn(4, 8)
+    tstsn = build_tstsn(4, 8, 4)
     ok = (tstsn.comparators < ctsn.comparators) and (tstsn.depth < ctsn.depth)
     _report("sorting-network dominance", ok,
             f"tstsn {tstsn.comparators} comparators / depth {tstsn.depth} < "

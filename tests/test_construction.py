@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polarsim.construction import (PolarCode, bit_reversal_permutation,
-                                   construct_code, load_frozen_set,
-                                   partition_symbols)
+from polarsim.construction import (MAX_SYMBOL_BITS, PolarCode,
+                                   bit_reversal_permutation, construct_code,
+                                   load_frozen_set, partition_symbols)
 
 
 class TestBitReversal:
@@ -84,52 +84,95 @@ class TestConstructCode:
             PolarCode(n=2, K=3, frozen_set=np.array([0, 0]))
 
 
+def _scatter_hypotheses(frozen_row):
+    """The documented hypothesis order of one symbol: entry k places the
+    bits of k, MSB first, into the information positions in ascending
+    index order; frozen positions stay zero. Bit 0 is the last position."""
+    M = len(frozen_row)
+    info = [i for i in range(M) if not frozen_row[i]]
+    k = np.arange(1 << len(info))
+    sym = np.zeros_like(k)
+    for pos, i in enumerate(info):
+        sym |= ((k >> (len(info) - 1 - pos)) & 1) << (M - 1 - i)
+    return sym.tolist()
+
+
 class TestPartitionSymbols:
     def test_m0_singletons(self):
         code = construct_code(3, 4)
         part = partition_symbols(code, 0)
         assert part.symbol_count == 8
         for j in range(8):
-            expected_info = [j] if j in code.info_set else []
-            assert part.info_sets[j].tolist() == expected_info
+            frozen = j not in code.info_set
+            assert part.frozen[j].tolist() == [frozen]
+            assert part.hypotheses[j].tolist() == ([0] if frozen else [0, 1])
 
     def test_m_equals_n_whole_block(self):
         code = construct_code(3, 4)
         part = partition_symbols(code, 3)
         assert part.symbol_count == 1
-        assert part.info_sets[0].size == code.K
+        assert part.hypotheses[0].size == 1 << code.K
 
     def test_n8_m4_example(self):
         # A = {3,5,6,7}: first symbol carries one info bit, second carries three
         code = construct_code(3, 4, design_snr_db=0.0)
         part = partition_symbols(code, 2)
-        assert part.info_sets[0].tolist() == [3]
-        assert part.frozen_sets[0].tolist() == [0, 1, 2]
-        assert part.info_sets[1].tolist() == [5, 6, 7]
-        assert part.frozen_sets[1].tolist() == [4]
+        assert part.frozen.tolist() == [[True, True, True, False],
+                                        [True, False, False, False]]
+        assert part.hypotheses[0].size == 2
+        assert part.hypotheses[1].size == 8
 
     def test_m_too_large_rejected(self):
         code = construct_code(3, 4)
         with pytest.raises(ValueError):
             partition_symbols(code, 4)
 
+    def test_m_above_max_symbol_bits_rejected(self):
+        # 2^5 = 32 > MAX_SYMBOL_BITS although the block has 64 bits
+        code = construct_code(6, 32)
+        assert 1 << 5 > MAX_SYMBOL_BITS
+        partition_symbols(code, 4)
+        with pytest.raises(ValueError, match="m must satisfy"):
+            partition_symbols(code, 5)
+
     @given(st.integers(min_value=2, max_value=6), st.data())
     @settings(max_examples=30, deadline=None)
     def test_counts_sum_to_k(self, n, data):
         N = 1 << n
         K = data.draw(st.integers(min_value=1, max_value=N))
-        m = data.draw(st.integers(min_value=0, max_value=n))
+        m = data.draw(st.integers(min_value=0, max_value=min(n, 4)))
         code = construct_code(n, K)
         part = partition_symbols(code, m)
-        assert sum(s.size for s in part.info_sets) == K
-        assert sum(s.size for s in part.frozen_sets) == N - K
+        # a symbol with i information bits has 2^i hypotheses
+        info_bits = [h.size.bit_length() - 1 for h in part.hypotheses]
+        assert sum(info_bits) == K
+        assert part.frozen.sum() == N - K
 
     def test_hypotheses_scatter(self):
         # info positions {1, 3} in a 4-bit symbol: k's bits land MSB-first
         code = construct_code(3, 4, design_snr_db=0.0)
         part = partition_symbols(code, 2)
         # symbol 1 has info {5,6,7} -> local {1,2,3}: value k placed directly
-        hyps = part.hypotheses(1)
+        hyps = part.hypotheses[1]
         assert hyps.tolist() == list(range(8))
         # symbol 0 has info {3} -> local {3}: hypotheses are {0, 1}
-        assert part.hypotheses(0).tolist() == [0, 1]
+        assert part.hypotheses[0].tolist() == [0, 1]
+        code = PolarCode(n=2, K=2, frozen_set=np.array([0, 2]))
+        part = partition_symbols(code, 2)
+        assert part.hypotheses[0].tolist() == [0b0000, 0b0001, 0b0100, 0b0101]
+
+    @given(st.integers(min_value=2, max_value=8), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_partition_matches_scatter_definition(self, n, data):
+        N = 1 << n
+        frozen = data.draw(st.sets(st.integers(0, N - 1), max_size=N - 1))
+        m = data.draw(st.integers(min_value=0, max_value=min(n, 4)))
+        code = PolarCode(n=n, K=N - len(frozen),
+                         frozen_set=np.array(sorted(frozen), dtype=np.int64))
+        part = partition_symbols(code, m)
+        assert part.m == m and part.symbol_count == N >> m
+        assert np.array_equal(part.frozen.ravel(), code.frozen_mask())
+        assert not part.frozen.flags.writeable
+        for j, hyps in enumerate(part.hypotheses):
+            assert not hyps.flags.writeable
+            assert hyps.tolist() == _scatter_hypotheses(part.frozen[j].tolist())

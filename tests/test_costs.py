@@ -3,7 +3,7 @@ import pytest
 
 from polarsim.costs import (build_ctsn, build_tstsn,
                             channel_combination_additions,
-                            ml_detector_additions, sorting_network_cost)
+                            ml_detector_additions)
 from polarsim.pruning import full_select, two_stage_select
 
 
@@ -50,32 +50,24 @@ class TestNetworkStructure:
             assert net.depth == len([lvl for lvl in block if lvl])
 
     def test_tstsn_dominates_ctsn(self):
-        ctsn = sorting_network_cost("ctsn", 4, 8)
-        tstsn = sorting_network_cost("tstsn", 4, 8, 4)
+        ctsn = build_ctsn(4, 8)
+        tstsn = build_tstsn(4, 8, 4)
         assert tstsn.comparators < ctsn.comparators
         assert tstsn.depth < ctsn.depth
 
     def test_reports_deterministic(self):
-        a = sorting_network_cost("tstsn", 3, 4, 2)
-        b = sorting_network_cost("tstsn", 3, 4, 2)
+        a = build_tstsn(3, 4, 2)
+        b = build_tstsn(3, 4, 2)
         assert ((a.label, a.comparators, a.depth, a.levels, a.outputs)
                 == (b.label, b.comparators, b.depth, b.levels, b.outputs))
 
-    def test_unknown_topology(self):
-        with pytest.raises(ValueError):
-            sorting_network_cost("bubble", 2, 4)
-
-    def test_tstsn_requires_q(self):
-        with pytest.raises(ValueError):
-            sorting_network_cost("tstsn", 2, 4)
-
     def test_rejects_non_powers(self):
         with pytest.raises(ValueError):
-            sorting_network_cost("ctsn", 2, 3)
+            build_ctsn(2, 3)
         with pytest.raises(ValueError):
-            sorting_network_cost("tstsn", 2, 4, 3)
+            build_tstsn(2, 4, 3)
         with pytest.raises(ValueError, match="q must be at most L"):
-            sorting_network_cost("tstsn", 4, 8, 16)
+            build_tstsn(4, 8, 16)
 
     def test_levels_have_disjoint_wires(self):
         for net in (build_ctsn(3, 4), build_tstsn(4, 8, 4), build_tstsn(3, 4, 4)):

@@ -306,7 +306,7 @@ class TestSymbolScDecode:
             got = symbol_sc_decode(code, part, met)
             ref = np.zeros(code.N, dtype=np.int64)
             for j in range(part.symbol_count):
-                hyps = part.hypotheses(j)
+                hyps = part.hypotheses[j]
                 if hyps.size == 1:
                     continue
                 table = exhaustive_symbol_metric(dense, y, sigma2, j, M, ref[: j * M])

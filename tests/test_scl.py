@@ -249,7 +249,7 @@ class _ReferenceSymbolScl:
         paths = [((), 0.0)]
         states = []
         for j in range(self.part.symbol_count):
-            hyps = self.part.hypotheses(j)
+            hyps = self.part.hypotheses[j]
             beta = hyps.size
             tables = {}
             for prefix, _ in paths:
@@ -286,7 +286,7 @@ def _live_counts(part, L, q):
     step has fewer than L stage-1 survivors (alpha * q < L)."""
     alpha, alphas, padded = 1, [], []
     for j in range(part.symbol_count):
-        beta = part.hypotheses(j).size
+        beta = part.hypotheses[j].size
         if alpha * beta > L:
             beta = min(q, beta)
             if alpha * beta < L:

@@ -250,6 +250,8 @@ class TestCli:
         ["cost", "--M", "4", "--L", "6", "--q", "4"],
         ["cost", "--M", "4", "--L", "8", "--q", "16"],
         RUN + ["--decoder", "ssc", "--symbol-bits", "32"],
+        ["run", "--decoder", "ssc", "--symbol-bits", "64", "--n", "64",
+         "--k", "32", "--frames", "20", "--snr", "1"],
     ])
     def test_run_rejects_bad_config_at_the_boundary(self, flags, capsys):
         # `run` and `cost` both report bad input through the parser
