@@ -26,8 +26,9 @@ print("bit-based SC decision:", u_hat.tolist(), "->",
       "ok" if np.array_equal(u_hat, u) else "frame error")
 
 # The 4-bit symbol decoder decides u_0..u_3 and u_4..u_7 jointly. Its two
-# decisions maximize a 16-entry table assembled recursively from component
-# decoder outputs: each combination step costs one addition per entry.
+# decisions maximize a 16-entry table assembled recursively from the 4 top
+# pairs of the bit tree cut 2 stages short: each combination step costs one
+# addition per entry.
 part = partition_symbols(code, m=2)
 u_sym = symbol_sc_decode(code, part, metrics)
 print("4-bit symbol SC decision:", u_sym.tolist())

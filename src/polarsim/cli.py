@@ -79,9 +79,10 @@ def _cmd_run(args, parser):
             design_snr_db=args.design_snr, frozen_file=args.frozen_file,
             crc_width=args.crc_width, crc_poly=args.crc_poly,
         )
-    except ValueError as exc:
+        code = cfg.build_code()
+    except (ValueError, OSError) as exc:
         parser.error(str(exc))
-    records = run_campaign(cfg)
+    records = run_campaign(cfg, code=code)
     if not args.out:
         print(CSV_HEADER)
         for rec in records:
@@ -121,8 +122,11 @@ def _cmd_cost(args, parser):
     return 0
 
 
-def _cmd_construct(args):
-    code = construct_code(args.n, args.k, design_snr_db=args.design_snr)
+def _cmd_construct(args, parser):
+    try:
+        code = construct_code(args.n, args.k, design_snr_db=args.design_snr)
+    except ValueError as exc:
+        parser.error(str(exc))
     lines = "\n".join(str(i) for i in code.frozen_set)
     if args.out:
         with open(args.out, "w") as fh:
@@ -160,7 +164,7 @@ def main(argv=None):
     if args.command == "cost":
         return _cmd_cost(args, parser)
     if args.command == "construct":
-        return _cmd_construct(args)
+        return _cmd_construct(args, parser)
     parser.error("unknown command")
 
 

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .construction import MAX_SYMBOL_BITS
+
 
 def _require_power_of_two(value, name):
     if value < 1 or (value & (value - 1)):
@@ -159,8 +161,8 @@ def _ps_tree(blocks):
 def build_ctsn(M, L):
     """Conventional tree network selecting the L best of 2^M * L inputs."""
     _require_power_of_two(L, "L")
-    if M < 0:
-        raise ValueError("M must be >= 0")
+    if not 0 <= M <= MAX_SYMBOL_BITS:  # 2^M * L wires
+        raise ValueError(f"M must be in [0, {MAX_SYMBOL_BITS}], got {M}")
     total = (1 << M) * L
     blocks = [list(range(g * L, (g + 1) * L)) for g in range(1 << M)]
     if len(blocks) == 1:
@@ -180,8 +182,8 @@ def build_tstsn(M, L, q):
     _require_power_of_two(q, "q")
     if q > L:
         raise ValueError(f"q must be at most L={L}, got {q}")
-    if M < 1:
-        raise ValueError("M must be >= 1")
+    if not 1 <= M <= MAX_SYMBOL_BITS:  # 2^M * L wires
+        raise ValueError(f"M must be in [1, {MAX_SYMBOL_BITS}], got {M}")
     size = 1 << M
     total = size * L
     q_eff = min(q, size)

@@ -10,12 +10,12 @@ logarithm max*(a, b) = max(a, b) + log(1 + exp(-|a - b|)). Halving constants
 are dropped throughout: they are shared by every hypothesis at a given step
 and cancel in all comparisons (the oracle module keeps them).
 
-A symbol-based decode of width M = 2^m runs M component decoders of length
-N/M over contiguous received chunks, then combines their per-stage output
-pairs into 2^M-entry symbol tables with `channel_combine`. The decided
-symbol's re-encoded bits feed back into the component decoders' partial
-sums. Bit-based decoding is the case M = 1, and SC decoding runs as the list
-loop of `scl` at L = 1, so both share its tie order.
+A symbol-based decode of width M = 2^m runs the bit tree cut m stages short:
+node c of its top stage n - m covers received samples [cN/M, (c+1)N/M). The
+M top pairs combine into a 2^M-entry symbol table with `channel_combine`, and
+the decided symbol's re-encoded bits feed back as those nodes' partial sums.
+Bit-based decoding is the case M = 1, and SC decoding runs as the list loop
+of `scl` at L = 1, so both share its tie order.
 """
 
 from __future__ import annotations
@@ -112,8 +112,8 @@ def channel_combine(left, right):
 def symbol_component_bits(M):
     """(2^M, M) table: row s holds the re-encoded bits of symbol value s.
 
-    Entry (s, c) is the bit fed back to component decoder c after symbol s
-    is decided; it equals coded bit c of the width-M polar encoding of s.
+    Entry (s, c) is the partial sum fed back to top-stage node c after symbol
+    s is decided: coded bit c of the width-M polar encoding of s.
     """
     m = M.bit_length() - 1
     if M != 1 << m:
@@ -123,16 +123,15 @@ def symbol_component_bits(M):
 
 
 class _PairBank:
-    """Vectorized bank of SC metric recursions over arbitrary leading axes.
+    """Vectorized SC metric recursions of the bit tree cut at stage w = n - m.
 
-    One bank instance drives every decoder unit in lockstep: leading axes
-    typically run over (batch,), (batch, list) or (batch, list, component).
-    `up[s]` holds the latest pair emitted by each of the 2^(w-s) nodes of
-    stage s; `ev[s]` holds each node's stored even-step bit decision (the
-    partial sums fed back between stages).
+    One bank drives every frame and path in lockstep over leading axes
+    (batch,) or (batch, list). `up[s]` holds the latest pair emitted by each
+    of the N / 2^s nodes of stage s; `ev[s]` holds each node's stored
+    even-step bit decision (the partial sums fed back between stages).
 
     Stage 0, `up[0]`, is the caller's float64 channel-pair array itself, of
-    shape lead + (width, 2) up to broadcasting: a list axis of size 1 shares
+    shape lead + (N, 2) up to broadcasting: a list axis of size 1 shares
     one frame's pairs among all its paths. It is read by broadcasting and
     never written; `ev[0]` is written only by the final `feed`.
 
@@ -145,17 +144,14 @@ class _PairBank:
     order to the current one. At L = 1 nothing is reordered and `t` stays 0.
     """
 
-    def __init__(self, lead, channel_pairs):
-        width = channel_pairs.shape[-2]
-        w = width.bit_length() - 1
-        if width != 1 << w:
-            raise ValueError(f"width must be a power of two, got {width}")
+    def __init__(self, lead, channel_pairs, w):
+        N = channel_pairs.shape[-2]
         self.lead = tuple(lead)
         self.w = w
         # refresh(0) computes every stage above 0 before any is read
-        self.up = [channel_pairs] + [np.empty(self.lead + (width >> s, 2))
+        self.up = [channel_pairs] + [np.empty(self.lead + (N >> s, 2))
                                      for s in range(1, w + 1)]
-        self.ev = [np.zeros(self.lead + (width >> s,), dtype=np.int8)
+        self.ev = [np.zeros(self.lead + (N >> s,), dtype=np.int8)
                    for s in range(w + 1)]
         self.t = 0
         self.epoch = ([0] * (w + 1), [0] * (w + 1))
@@ -171,7 +167,7 @@ class _PairBank:
             self.epoch[k][s] = self.t
 
     def refresh(self, j):
-        """Advance metric computation for bit index j; return the top pair.
+        """Advance metric computation for symbol j; return the top pairs.
 
         Stage s recomputes when j is a multiple of 2^(w-s): with the partner
         bit still undecided it marginalizes (check form), afterwards it uses
@@ -193,12 +189,12 @@ class _PairBank:
                 transform_combine(upper, lower, self.ev[s], out=self.up[s])
             else:
                 transform_check(upper, lower, out=self.up[s])
-        return self.up[self.w][..., 0, :]
+        return self.up[self.w]
 
     def feed(self, j, bits):
-        """Record decided bit j (shape = lead) and cascade partial sums:
+        """Record symbol j's M re-encoded bits and cascade partial sums:
         read `ev[s]` for s = w, ..., stop + 1 and overwrite `ev[stop]`."""
-        cur = np.asarray(bits, dtype=np.int8).reshape(self.lead + (1,))
+        cur = np.asarray(bits, dtype=np.int8).reshape(self.lead + (-1,))
         # j < 2^w has at most w trailing one bits, so stop >= 0
         stop = self.w + 1 - ((j + 1) & -(j + 1)).bit_length()
         if self.t:
@@ -254,7 +250,7 @@ def _check_partition(code, part):
 
 
 def _symbol_tables(pairs):
-    """Reduce component output pairs (..., M, 2) to a (..., 2^M) symbol table."""
+    """Reduce the top-stage pairs (..., M, 2) to a (..., 2^M) symbol table."""
     tabs = pairs
     while tabs.shape[-2] > 1:
         tabs = channel_combine(tabs[..., 0::2, :], tabs[..., 1::2, :])

@@ -37,23 +37,17 @@ def _scl_loop(code, part, metrics, L, q, trace_hook=None, tables=None):
     if not 1 <= q <= L:
         raise ValueError(f"stage1 survivor count must be in [1, L], got {q}")
     metrics = np.asarray(metrics, dtype=np.float64)
-    B, N = metrics.shape[:2]
+    B = metrics.shape[0]
     M = part.M
-    # M component decoders of length N/M per path; no list axis at L = 1 (a
-    # rank smaller makes each numpy call in refresh and feed cheaper) and no
-    # component axis at M = 1. Stage 0 is the metrics themselves, with a
-    # size-1 list axis that every path shares
+    # no list axis at L = 1: a rank smaller makes each numpy call in refresh
+    # and feed cheaper. Every path shares stage 0, the metrics themselves
     lead = (B, L) if L > 1 else (B,)
-    comp = (M,) if M > 1 else ()
-    bank = _PairBank(lead + comp, metrics.reshape(
-        (B,) + (1,) * (len(lead) - 1) + comp + (N // M, 2)))
-    # each symbol value's M bits (MSB first) and the bits it feeds back to
-    # the component decoders (no component axis at M = 1)
+    bank = _PairBank(lead, metrics[:, None] if L > 1 else metrics,
+                     code.n - part.m)
+    # each symbol value's M bits (MSB first) and its top-stage partial sums
     bits = int_to_bits(np.arange(1 << M), M)
     feed = symbol_component_bits(M)
-    if M == 1:
-        feed = feed[:, 0]
-    zero = np.zeros(bank.lead, dtype=np.int8)
+    zero = np.zeros(lead + (M,), dtype=np.int8)
     hist = np.zeros((B, L, code.N), dtype=np.int8)
     pm = np.full((B, L), -np.inf)
     alpha = 1
@@ -71,15 +65,14 @@ def _scl_loop(code, part, metrics, L, q, trace_hook=None, tables=None):
         seen = trace_hook is not None or j == last
         if beta > 1 or tables is not None:
             # a 1-bit table is the pair itself
-            table = pairs if M == 1 else _symbol_tables(pairs)
+            table = pairs[..., 0, :] if M == 1 else _symbol_tables(pairs)
             if tables is not None:
                 tables.append(table.copy())
         if beta == 1:
             # zero-symbol extension: metric is the all-zero entry of the
-            # would-be table, obtained from the component pairs directly
+            # would-be table, the sum of the top stage's zero metrics
             if seen:
-                entry = pairs[:, :alpha, ..., 0]
-                pm[:, :alpha] = entry if M == 1 else entry.sum(axis=-1)
+                pm[:, :alpha] = pairs[:, :alpha, :, 0].sum(axis=-1)
             bank.feed(j, zero)
         else:
             cons = table[:, :alpha]

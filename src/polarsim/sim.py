@@ -74,10 +74,14 @@ class SimConfig:
     def __post_init__(self):
         if self.decoder not in DECODERS:
             raise ValueError(f"decoder must be one of {DECODERS}")
-        if self.max_frames < 1:
-            raise ValueError("max_frames must be >= 1")
-        if self.snr_stop < self.snr_start:
-            raise ValueError("snr_stop must be >= snr_start")
+        if self.max_frames < 1 or self.max_frame_errors < 0:
+            raise ValueError("need max_frames >= 1 and max_frame_errors >= 0")
+        # a single point may be +inf dB (noiseless); NaN fails every test here
+        snr = (self.snr_start, self.snr_step, self.snr_stop)
+        if not (-math.inf < self.snr_start <= self.snr_stop and (
+                self.snr_step <= 0 or all(map(math.isfinite, snr)))):
+            raise ValueError(f"snr needs start <= stop, no NaN, no -inf and a "
+                             f"finite sweep; got {snr}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.symbol_bits < 1 or (self.symbol_bits & (self.symbol_bits - 1)):
@@ -251,7 +255,7 @@ def _metadata_text(cfg, code):
     return "\n".join(lines)
 
 
-def run_campaign(cfg, log=None):
+def run_campaign(cfg, log=None, code=None):
     """Sweep the configured SNR range, returning one FerRecord per point.
 
     When `cfg.out` is set, rows are appended to the CSV as they finish and a
@@ -261,7 +265,7 @@ def run_campaign(cfg, log=None):
     """
     if log is None:
         log = lambda msg: print(msg, file=sys.stderr)
-    code = cfg.build_code()
+    code = cfg.build_code() if code is None else code
     records = []
     out = open(cfg.out, "w") if cfg.out else None
     try:

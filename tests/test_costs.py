@@ -61,6 +61,14 @@ class TestNetworkStructure:
         assert ((a.label, a.comparators, a.depth, a.levels, a.outputs)
                 == (b.label, b.comparators, b.depth, b.levels, b.outputs))
 
+    def test_rejects_symbol_width_outside_the_decoders_bound(self):
+        # M = 32 would take 2^32 * L wires; it fails before any is built
+        for build in (lambda M: build_ctsn(M, 4),
+                      lambda M: build_tstsn(M, 4, 2)):
+            for M in (-1, 17, 32):
+                with pytest.raises(ValueError, match="M must be in"):
+                    build(M)
+
     def test_rejects_non_powers(self):
         with pytest.raises(ValueError):
             build_ctsn(2, 3)

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from polarsim.channel import initial_metrics, modulate
-from polarsim.codec import encode_bits, polar_encode
+from polarsim.codec import encode_bits, int_to_bits, polar_encode
 from polarsim.construction import construct_code, partition_symbols
 from polarsim.oracle import DenseCode, exhaustive_symbol_metric
-from polarsim.sc import (_PairBank, channel_combine, sc_decode, sc_decode_batch,
-                         symbol_component_bits, symbol_sc_decode,
-                         symbol_sc_decode_batch, transform_check,
-                         transform_combine)
+from polarsim.sc import (_PairBank, _symbol_tables, channel_combine, sc_decode,
+                         sc_decode_batch, symbol_component_bits,
+                         symbol_sc_decode, symbol_sc_decode_batch,
+                         transform_check, transform_combine)
 
 LOG_HALF = np.log(0.5)
 
@@ -172,7 +172,7 @@ class TestScDecode:
         # every path reads the same channel pairs: stage 0 is the metric
         # array itself, with a size-1 list axis, and reorders leave it alone
         met = np.random.default_rng(3).normal(size=(2, 1, 8, 2))
-        bank = _PairBank((2, 4), met)
+        bank = _PairBank((2, 4), met, 3)
         assert bank.up[0] is met
         bank.refresh(0)
         bank.take_static(np.array([0, 0, 1, 1]))
@@ -186,11 +186,10 @@ class TestScDecode:
         # the same top pairs and, once its pending reorders are applied,
         # holds the same stages as a bank that reorders at once
         rng = np.random.default_rng(20 + M)
-        B, L, width = 3, 4, 16
-        comp = (M,) if M > 1 else ()
-        met = rng.normal(size=(B, 1) + comp + (width, 2))
-        lazy = _PairBank((B, L) + comp, met)
-        eager = _EagerBank((B, L) + comp, met)
+        B, L, w = 3, 4, 4
+        met = rng.normal(size=(B, 1, M << w, 2))
+        lazy = _PairBank((B, L), met, w)
+        eager = _EagerBank((B, L), met, w)
 
         def reorder():
             for _ in range(rng.integers(0, 3)):
@@ -213,11 +212,11 @@ class TestScDecode:
                     arr = got[s] if e == lazy.t else got[s][b, lazy.chain[e]]
                     assert np.array_equal(arr, want[s]), (k, s)
 
-        for j in range(width):
+        for j in range(1 << w):
             assert np.array_equal(lazy.refresh(j), eager.refresh(j))
             assert_same_stages()
             reorder()
-            bits = rng.integers(0, 2, size=(B, L) + comp)
+            bits = rng.integers(0, 2, size=(B, L, M))
             lazy.feed(j, bits)
             eager.feed(j, bits)
             assert_same_stages()
@@ -244,19 +243,25 @@ class TestScDecode:
         scl.scl_decode_batch(code, met, 4)
         assert banks[-1].t > 0
 
-    def test_partial_sums_reencode_prefix(self):
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_partial_sums_reencode_prefix(self, m):
         # after a complete decode every stage's stored feedback bits match an
-        # independent recomputation of the transformed decided sequence
+        # independent recomputation of the transformed decided sequence; a
+        # symbol decode feeds its re-encoded symbols back at stage n - m
         rng = np.random.default_rng(8)
         code = construct_code(4, 10)
         _, met, _ = _transmit_code(code, rng, 0.6)
-        bank = _PairBank((1,), met[None])
-        frozen = code.frozen_mask()
+        part = partition_symbols(code, m)
+        M, w = part.M, code.n - m
+        bank = _PairBank((1,), met[None], w)
         u = np.zeros(code.N, dtype=np.int8)
-        for j in range(code.N):
-            top = bank.refresh(j)
-            u[j] = 0 if frozen[j] else int(top[0, 1] >= top[0, 0])
-            bank.feed(j, u[None, j])
+        for j in range(part.symbol_count):
+            table = _symbol_tables(bank.refresh(j))[0]
+            hyps = part.hypotheses[j]
+            sym = hyps[np.argmax(table[hyps])]
+            u[j * M : (j + 1) * M] = int_to_bits(sym, M)
+            bank.feed(j, symbol_component_bits(M)[sym][None])
+        assert u.any() and not u[code.frozen_set].any()
         # node bit sequences: upper child takes even^odd, lower child takes odd
         seqs = {code.n: [u.astype(np.int64)]}
         for s in range(code.n - 1, -1, -1):
@@ -266,7 +271,7 @@ class TestScDecode:
                 cur.append(parent[1::2])
             seqs[s] = cur
         assert np.array_equal(bank.ev[0][0], np.array([z[0] for z in seqs[0]]))
-        for s in range(1, code.n + 1):
+        for s in range(1, w + 1):
             width = 1 << s
             expect = np.array([z[width - 2] for z in seqs[s]])
             assert np.array_equal(bank.ev[s][0], expect)

@@ -194,6 +194,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="symbol_bits"):
             SimConfig(n=4, K=8, decoder=decoder, symbol_bits=32)
 
+    @pytest.mark.parametrize("kw", [
+        dict(snr_start=math.nan, snr_stop=math.nan),
+        dict(snr_step=math.nan),
+        dict(snr_stop=math.nan),
+        dict(snr_start=-math.inf, snr_step=0.0),
+        dict(snr_step=math.inf),
+        dict(snr_stop=math.inf),
+        dict(max_frame_errors=-3),
+    ])
+    def test_rejects_nan_or_infinite_sweep_and_negative_error_budget(self, kw):
+        with pytest.raises(ValueError, match="snr|max_frame_errors"):
+            SimConfig(**kw)
+
+    def test_infinite_snr_is_the_noiseless_point(self):
+        cfg = SimConfig(snr_start=math.inf, snr_step=0.0, snr_stop=math.inf)
+        assert cfg.snr_points() == [math.inf]
+
     def test_ignored_fields_are_not_checked(self):
         # sc and ssc have no list; scl and cascl take no stage-1 count; the
         # bit decoders take no symbol width
@@ -205,6 +222,7 @@ class TestConfigValidation:
 
 
 RUN = ["run", "--n", "16", "--k", "8", "--snr", "4.0", "--frames", "10"]
+RUN64 = ["run", "--n", "64", "--frames", "10", "--snr", "1"]
 
 
 class TestCli:
@@ -252,6 +270,20 @@ class TestCli:
         RUN + ["--decoder", "ssc", "--symbol-bits", "32"],
         ["run", "--decoder", "ssc", "--symbol-bits", "64", "--n", "64",
          "--k", "32", "--frames", "20", "--snr", "1"],
+        # the code is built inside the boundary too
+        RUN64 + ["--k", "100"],
+        RUN64 + ["--k", "0"],
+        RUN64 + ["--k", "32", "--crc-width", "5"],
+        RUN64 + ["--k", "32", "--crc-width", "40"],
+        RUN64 + ["--k", "10", "--crc-width", "16"],
+        RUN64 + ["--k", "32", "--crc-width", "8", "--crc-poly", "1FF"],
+        RUN64 + ["--k", "32", "--frozen-file", "/nonexistent"],
+        ["construct", "--n", "64", "--k", "0"],
+        RUN64 + ["--k", "32", "--snr", "nan"],
+        RUN64 + ["--k", "32", "--snr", "1:nan:3"],
+        RUN64 + ["--k", "32", "--max-errors", "-3"],
+        # 2^32 * L wires: rejected before any network is built
+        ["cost", "--M", "32", "--L", "4", "--q", "2"],
     ])
     def test_run_rejects_bad_config_at_the_boundary(self, flags, capsys):
         # `run` and `cost` both report bad input through the parser
@@ -263,6 +295,11 @@ class TestCli:
                   if "error:" in line]
         assert len(errors) == 1 and "Traceback" not in captured.err
         assert captured.out == ""
+
+    def test_run_noiseless_point(self, capsys):
+        assert cli_main(RUN64 + ["--k", "32", "--snr", "inf"]) == 0
+        out = capsys.readouterr().out.split("\n")
+        assert out[1] == "inf,10,0,0,0.0000000000e+00,0.0000000000e+00,0"
 
     def test_block_length_must_be_power_of_two(self, capsys):
         with pytest.raises(SystemExit):
