@@ -7,7 +7,6 @@ from .construction import (PolarCode, SymbolPartition, bit_reversal_permutation,
                            construct_code, load_frozen_set, partition_symbols)
 from .costs import (build_ctsn, build_tstsn, channel_combination_additions,
                     ml_detector_additions)
-from .oracle import DenseCode, exhaustive_ml, exhaustive_symbol_metric
 from .pruning import exactness_check, full_select, two_stage_select
 from .sc import (channel_combine, sc_decode, symbol_sc_decode, transform_check,
                  transform_combine)
@@ -22,7 +21,6 @@ __all__ = [
     "construct_code", "load_frozen_set", "partition_symbols",
     "build_ctsn", "build_tstsn", "channel_combination_additions",
     "ml_detector_additions",
-    "DenseCode", "exhaustive_ml", "exhaustive_symbol_metric",
     "exactness_check", "full_select", "two_stage_select",
     "channel_combine", "sc_decode", "symbol_sc_decode",
     "transform_check", "transform_combine",

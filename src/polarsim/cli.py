@@ -80,7 +80,7 @@ def _cmd_run(args, parser):
             crc_width=args.crc_width, crc_poly=args.crc_poly,
         )
         code = cfg.build_code()
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         parser.error(str(exc))
     records = run_campaign(cfg, code=code)
     if not args.out:
@@ -159,13 +159,14 @@ def main(argv=None):
     p.add_argument("--out", default=None)
 
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args, parser)
-    if args.command == "cost":
-        return _cmd_cost(args, parser)
-    if args.command == "construct":
-        return _cmd_construct(args, parser)
-    parser.error("unknown command")
+    command = {"run": _cmd_run, "cost": _cmd_cost,
+               "construct": _cmd_construct}[args.command]
+    # a file that cannot be read or written is bad input too; a ValueError
+    # from inside a decode is a fault and keeps its traceback
+    try:
+        return command(args, parser)
+    except OSError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

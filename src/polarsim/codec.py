@@ -26,8 +26,6 @@ def _butterfly(bits):
 
 def encode_bits(bits, n):
     """Encode length-2^n blocks (vectorized over leading axes), no validation."""
-    if n == 0:
-        return np.array(bits, dtype=np.int8, copy=True)
     perm = bit_reversal_permutation(n)
     return _butterfly(np.asarray(bits)[..., perm])
 

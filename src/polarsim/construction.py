@@ -17,15 +17,13 @@ def bit_reversal_permutation(n):
     Parameters
     ----------
     n : int
-        Number of address bits (n >= 1).
+        Number of address bits (n >= 0).
 
     Returns
     -------
     ndarray
         Length-2^n integer array. The permutation is its own inverse.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     idx = np.arange(1 << n)
     rev = np.zeros_like(idx)
     for k in range(n):
@@ -66,10 +64,10 @@ class PolarCode:
     info_set: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        N = self.N
         if self.n < 2:
             raise ValueError(f"n must be >= 2 (N >= 4), got n={self.n}")
-        if not (0 < self.K < N or self.K == N):
+        N = self.N
+        if not 0 < self.K <= N:
             raise ValueError(f"K must satisfy 0 < K <= N, got K={self.K}, N={N}")
         frozen = np.unique(np.asarray(self.frozen_set, dtype=np.int64))
         if frozen.size != np.asarray(self.frozen_set).size:
@@ -79,7 +77,7 @@ class PolarCode:
                 f"frozen_set has {frozen.size} indices, expected N-K={N - self.K}"
             )
         if frozen.size and (frozen[0] < 0 or frozen[-1] >= N):
-            raise ValueError("frozen_set indices out of range")
+            raise ValueError(f"frozen_set indices must lie in [0, {N})")
         object.__setattr__(self, "frozen_set", frozen)
         mask = np.ones(N, dtype=bool)
         mask[frozen] = False
@@ -103,8 +101,8 @@ class PolarCode:
         return mask
 
 
-def load_frozen_set(path, N, K):
-    """Read a frozen set from a text file, one decimal index per line."""
+def load_frozen_set(path):
+    """Parse a frozen-set file, one decimal index per line (unchecked)."""
     indices = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -112,19 +110,10 @@ def load_frozen_set(path, N, K):
             if not text:
                 continue
             try:
-                indices.append(int(text))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: not a decimal index: {text!r}")
-    frozen = np.unique(np.array(indices, dtype=np.int64))
-    if frozen.size != len(indices):
-        raise ValueError(f"{path}: duplicate indices in frozen set")
-    if frozen.size != N - K:
-        raise ValueError(
-            f"{path}: frozen set has {frozen.size} indices, expected {N - K}"
-        )
-    if frozen.size and (frozen[0] < 0 or frozen[-1] >= N):
-        raise ValueError(f"{path}: index out of range for N={N}")
-    return frozen
+                indices.append(np.int64(text))
+            except (ValueError, OverflowError):
+                raise ValueError(f"{path}:{lineno}: not an index: {text!r}")
+    return np.array(indices, dtype=np.int64)
 
 
 def construct_code(n, K, design_snr_db=0.0, frozen_file=None, crc=None):
@@ -147,19 +136,17 @@ def construct_code(n, K, design_snr_db=0.0, frozen_file=None, crc=None):
 
     The construction is deterministic: identical inputs give identical codes.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    N = 1 << n
-    if not 0 < K <= N:
-        raise ValueError(f"K must satisfy 0 < K <= N, got K={K}")
     if frozen_file:
-        frozen = load_frozen_set(frozen_file, N, K)
+        frozen = load_frozen_set(frozen_file)
     else:
         z = bhattacharyya_parameters(n, design_snr_db)
         # stable sort: ties keep the lower index, which freezes first
-        frozen = np.sort(np.argsort(-z, kind="stable")[: N - K])
-    return PolarCode(n=n, K=K, frozen_set=frozen,
-                     design_snr_db=design_snr_db, crc=crc)
+        frozen = np.sort(np.argsort(-z, kind="stable")[: z.size - K])
+    try:  # PolarCode checks n, K, the frozen set and the CRC
+        return PolarCode(n=n, K=K, frozen_set=frozen,
+                         design_snr_db=design_snr_db, crc=crc)
+    except ValueError as exc:
+        raise ValueError(f"{frozen_file}: {exc}") if frozen_file else exc
 
 
 # Widest symbol the symbol decoders take: each symbol step builds 2^M-entry

@@ -29,11 +29,17 @@ def _require_power_of_two(value, name):
         raise ValueError(f"{name} must be a power of two, got {value}")
 
 
+def _require_symbol_width(M):
+    """The addition models take M in [2, MAX_SYMBOL_BITS]: their counts
+    grow as 2^M, so a wider M would only build a huge integer."""
+    _require_power_of_two(M, "M")
+    if not 2 <= M <= MAX_SYMBOL_BITS:
+        raise ValueError(f"M must be in [2, {MAX_SYMBOL_BITS}], got {M}")
+
+
 def ml_detector_additions(M):
     """Additions for the direct M-bit symbol detector: 2^M * (M - 1)."""
-    _require_power_of_two(M, "M")
-    if M < 2:
-        raise ValueError(f"M must be >= 2, got {M}")
+    _require_symbol_width(M)
     return (1 << M) * (M - 1)
 
 
@@ -43,9 +49,7 @@ def channel_combination_additions(M):
     The stage producing 2^(M/2^i)-entry tables is instantiated 2^i times,
     giving sum_{i=0}^{m-1} 2^i * 2^(M / 2^i) additions per symbol.
     """
-    _require_power_of_two(M, "M")
-    if M < 2:
-        raise ValueError(f"M must be >= 2, got {M}")
+    _require_symbol_width(M)
     m = M.bit_length() - 1
     return sum((1 << i) * (1 << (M >> i)) for i in range(m))
 

@@ -110,14 +110,13 @@ def channel_combine(left, right):
 
 @lru_cache(maxsize=None)
 def symbol_component_bits(M):
-    """(2^M, M) table: row s holds the re-encoded bits of symbol value s.
+    """(2^M, M) table for a power-of-two M: row s holds the re-encoded bits
+    of symbol value s.
 
     Entry (s, c) is the partial sum fed back to top-stage node c after symbol
     s is decided: coded bit c of the width-M polar encoding of s.
     """
     m = M.bit_length() - 1
-    if M != 1 << m:
-        raise ValueError(f"M must be a power of two, got {M}")
     sym_bits = int_to_bits(np.arange(1 << M), M)
     return encode_bits(sym_bits, m)
 

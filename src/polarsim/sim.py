@@ -46,6 +46,9 @@ _LIST_DECODERS = ("scl", "cascl", "sscl")
 
 CSV_HEADER = "snr_db,frames,frame_errors,bit_errors,fer,ber,wall_seconds"
 
+# Most SNR points a campaign may sweep: a tiny step would list ~1e300.
+MAX_SNR_POINTS = 10_000
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -76,26 +79,28 @@ class SimConfig:
             raise ValueError(f"decoder must be one of {DECODERS}")
         if self.max_frames < 1 or self.max_frame_errors < 0:
             raise ValueError("need max_frames >= 1 and max_frame_errors >= 0")
-        # a single point may be +inf dB (noiseless); NaN fails every test here
-        snr = (self.snr_start, self.snr_step, self.snr_stop)
-        if not (-math.inf < self.snr_start <= self.snr_stop and (
-                self.snr_step <= 0 or all(map(math.isfinite, snr)))):
-            raise ValueError(f"snr needs start <= stop, no NaN, no -inf and a "
-                             f"finite sweep; got {snr}")
+        # a single point may be +inf dB (noiseless); NaN fails every test
+        # here. A sweep's count, snr_points' floor(span) + 1, is bounded here.
+        start, step, stop = snr = (self.snr_start, self.snr_step, self.snr_stop)
+        if not (math.isfinite(step) and -math.inf < start <= stop and (
+                start == stop or step > 0
+                and (stop - start) / step + 1e-9 < MAX_SNR_POINTS)):
+            raise ValueError(f"snr needs start <= stop, no NaN, no -inf, a "
+                             f"finite step and, to sweep, a step > 0 giving at "
+                             f"most {MAX_SNR_POINTS} points; got {snr}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.symbol_bits < 1 or (self.symbol_bits & (self.symbol_bits - 1)):
-            raise ValueError("symbol_bits must be a power of two")
         # fields that the chosen decoder ignores are not checked
-        L, q = self.list_size, self.stage1_keep
+        L, q, M = self.list_size, self.stage1_keep, self.symbol_bits
         if self.decoder in _LIST_DECODERS and (L < 1 or L & (L - 1)):
             raise ValueError(f"list_size must be a power of two >= 1 for "
                              f"{self.decoder}, got {L}")
         widest = min(1 << self.n, MAX_SYMBOL_BITS)
-        if self.decoder in ("ssc", "sscl") and self.symbol_bits > widest:
-            raise ValueError(f"symbol_bits must be at most {widest} (the block "
-                             f"length, capped at {MAX_SYMBOL_BITS}) for "
-                             f"{self.decoder}, got {self.symbol_bits}")
+        if self.decoder in ("ssc", "sscl") and (
+                not 1 <= M <= widest or M & (M - 1)):
+            raise ValueError(f"symbol_bits must be a power of two of at most "
+                             f"{widest} (the block length, capped at "
+                             f"{MAX_SYMBOL_BITS}) for {self.decoder}, got {M}")
         if self.decoder == "sscl" and not 1 <= q <= L:
             raise ValueError(f"stage1_keep must be in [1, list_size={L}], "
                              f"got {q}")
@@ -103,7 +108,7 @@ class SimConfig:
             raise ValueError("decoder cascl needs a CRC: set crc_width > 0")
 
     def snr_points(self):
-        if self.snr_step <= 0:
+        if self.snr_start == self.snr_stop:
             return [self.snr_start]
         count = int(math.floor((self.snr_stop - self.snr_start)
                                / self.snr_step + 1e-9)) + 1

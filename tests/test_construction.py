@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polarsim.codec import encode_bits
 from polarsim.construction import (MAX_SYMBOL_BITS, PolarCode,
                                    bit_reversal_permutation, construct_code,
                                    load_frozen_set, partition_symbols)
@@ -25,9 +28,11 @@ class TestBitReversal:
         perm = bit_reversal_permutation(n)
         assert np.array_equal(perm[perm], np.arange(1 << n))
 
-    def test_rejects_n0(self):
-        with pytest.raises(ValueError):
-            bit_reversal_permutation(0)
+    def test_n0_is_the_identity(self):
+        assert bit_reversal_permutation(0).tolist() == [0]
+        bits = np.array([[1], [0]], dtype=np.int8)
+        coded = encode_bits(bits, 0)
+        assert np.array_equal(coded, bits) and not np.shares_memory(coded, bits)
 
 
 class TestConstructCode:
@@ -76,8 +81,28 @@ class TestConstructCode:
     def test_frozen_file_malformed(self, tmp_path):
         path = tmp_path / "frozen.txt"
         path.write_text("0\nnope\n")
-        with pytest.raises(ValueError):
-            load_frozen_set(str(path), 16, 14)
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2")):
+            load_frozen_set(str(path))
+
+    def test_load_frozen_set_only_parses(self, tmp_path):
+        # duplicates and stray indices reach PolarCode, which owns the checks
+        path = tmp_path / "frozen.txt"
+        path.write_text("7\n\n-1\n7\n")
+        assert load_frozen_set(str(path)).tolist() == [7, -1, 7]
+
+    @pytest.mark.parametrize("text", [
+        "3\n3\n",     # a duplicated index
+        "3\n16\n",    # an index out of range
+        "-1\n3\n",    # a negative index
+        "1\n2\n3\n",  # the wrong count
+        "3\n4.0\n",   # a non-integer line
+        "3\n99999999999999999999999\n",  # an integer beyond int64
+    ])
+    def test_bad_frozen_file_names_the_file(self, tmp_path, text):
+        path = tmp_path / "frozen.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            construct_code(4, 14, frozen_file=str(path))
 
     def test_polar_code_validates_overlap(self):
         with pytest.raises(ValueError):

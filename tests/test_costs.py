@@ -32,6 +32,13 @@ class TestAdditionCounts:
             ml_detector_additions(3)
         with pytest.raises(ValueError):
             channel_combination_additions(6)
+        # counts of 2^M: a width above the decoders' bound is refused
+        # before the integer is built
+        for M in (32, 1 << 40):
+            with pytest.raises(ValueError, match="M must be in"):
+                ml_detector_additions(M)
+            with pytest.raises(ValueError, match="M must be in"):
+                channel_combination_additions(M)
 
 
 class TestNetworkStructure:

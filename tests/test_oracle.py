@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import polarsim
 from polarsim.channel import initial_metrics, modulate
 from polarsim.codec import encode_bits, polar_encode
 from polarsim.construction import construct_code
@@ -135,3 +136,9 @@ class TestCombinationIdentity:
             lhs, rhs = combination_identity_sides(
                 dense_f, dense_h, y, 0.6, j, M, prefix)
             assert np.abs(np.expm1(lhs - rhs)).max() < 1e-12
+
+
+def test_oracle_is_not_public_api():
+    # the references serve the tests, which import them from polarsim.oracle
+    for name in ("DenseCode", "exhaustive_ml", "exhaustive_symbol_metric"):
+        assert name not in polarsim.__all__

@@ -3,8 +3,8 @@ import math
 import pytest
 
 from polarsim.cli import main as cli_main
-from polarsim.sim import (CSV_HEADER, FerRecord, SimConfig, _auto_rounds,
-                          run_campaign, run_point)
+from polarsim.sim import (CSV_HEADER, MAX_SNR_POINTS, FerRecord, SimConfig,
+                          _auto_rounds, run_campaign, run_point)
 
 
 def _small_cfg(**kw):
@@ -202,10 +202,33 @@ class TestConfigValidation:
         dict(snr_step=math.inf),
         dict(snr_stop=math.inf),
         dict(max_frame_errors=-3),
+        # a sweep from 1 to 3 that never advances
+        dict(snr_step=-0.5),
+        dict(snr_step=0.0),
+        # sweeps of too many points, counted without building them
+        dict(snr_step=1e-300),
+        dict(snr_step=5e-324),  # the span overflows to inf
+        dict(snr_start=-1e308, snr_stop=1e308),  # so does stop - start
+        dict(snr_start=0.0, snr_step=1.0, snr_stop=MAX_SNR_POINTS),
     ])
     def test_rejects_nan_or_infinite_sweep_and_negative_error_budget(self, kw):
         with pytest.raises(ValueError, match="snr|max_frame_errors"):
             SimConfig(**kw)
+
+    def test_sweep_point_count(self):
+        cfg = SimConfig(snr_start=0.0, snr_step=1.0,
+                        snr_stop=MAX_SNR_POINTS - 1)
+        assert len(cfg.snr_points()) == MAX_SNR_POINTS
+        # one point ignores the step
+        for snr, step in [(2.0, -1.0), (2.0, 0.0), (2.0, 0.5), (math.inf, 0.5)]:
+            cfg = SimConfig(snr_start=snr, snr_step=step, snr_stop=snr)
+            assert cfg.snr_points() == [snr]
+
+    @pytest.mark.parametrize("decoder", ["ssc", "sscl"])
+    @pytest.mark.parametrize("M", [0, 3, 6])
+    def test_rejects_symbol_width_not_power_of_two(self, decoder, M):
+        with pytest.raises(ValueError, match="symbol_bits"):
+            SimConfig(decoder=decoder, symbol_bits=M)
 
     def test_infinite_snr_is_the_noiseless_point(self):
         cfg = SimConfig(snr_start=math.inf, snr_step=0.0, snr_stop=math.inf)
@@ -219,6 +242,8 @@ class TestConfigValidation:
         SimConfig(decoder="scl", list_size=4, stage1_keep=9)
         SimConfig(decoder="cascl", list_size=4, stage1_keep=0, crc_width=8)
         SimConfig(n=4, K=8, decoder="sc", symbol_bits=32)
+        SimConfig(decoder="sc", symbol_bits=3)
+        SimConfig(decoder="cascl", symbol_bits=0, crc_width=8)
 
 
 RUN = ["run", "--n", "16", "--k", "8", "--snr", "4.0", "--frames", "10"]
@@ -284,9 +309,17 @@ class TestCli:
         RUN64 + ["--k", "32", "--max-errors", "-3"],
         # 2^32 * L wires: rejected before any network is built
         ["cost", "--M", "32", "--L", "4", "--q", "2"],
+        # output files that cannot be opened
+        RUN64 + ["--k", "32", "--out", "/nonexistent/x.csv"],
+        ["construct", "--n", "64", "--k", "32", "--out", "/nonexistent/x.txt"],
+        ["cost", "--M", "4", "--L", "8", "--q", "4",
+         "--csv", "/nonexistent/x.csv"],
+        # a sweep of ~1e300 points, and one that never reaches its stop
+        RUN64 + ["--k", "32", "--snr=1:1e-300:2"],
+        RUN64 + ["--k", "32", "--snr", "1:-0.5:3"],
     ])
     def test_run_rejects_bad_config_at_the_boundary(self, flags, capsys):
-        # `run` and `cost` both report bad input through the parser
+        # every subcommand reports bad input through the parser
         with pytest.raises(SystemExit) as exit_info:
             cli_main(flags)
         assert exit_info.value.code == 2
