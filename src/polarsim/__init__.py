@@ -1,7 +1,7 @@
 """Polar code library: construction, codecs, SC/SCL decoding and simulation."""
 
 from .channel import initial_metrics, modulate, noise_sigma2
-from .codec import (CrcSpec, attach_crc, crc16_ccitt, crc_value, polar_encode,
+from .codec import (CrcSpec, attach_crc, crc_value, polar_encode,
                     scatter_info, verify_crc)
 from .construction import (PolarCode, SymbolPartition, bit_reversal_permutation,
                            construct_code, load_frozen_set, partition_symbols)
@@ -15,7 +15,7 @@ from .sim import FerRecord, SimConfig, run_campaign, run_point
 
 __all__ = [
     "initial_metrics", "modulate", "noise_sigma2",
-    "CrcSpec", "attach_crc", "crc16_ccitt", "crc_value", "polar_encode",
+    "CrcSpec", "attach_crc", "crc_value", "polar_encode",
     "scatter_info", "verify_crc",
     "PolarCode", "SymbolPartition", "bit_reversal_permutation",
     "construct_code", "load_frozen_set", "partition_symbols",

@@ -74,6 +74,7 @@ class CrcSpec:
 
     `poly` is the generator mask without the implicit leading 1. Message
     bits enter the high end of the register; the final register is the CRC.
+    The defaults are CRC-16/CCITT-FALSE.
     """
 
     width: int = 16
@@ -129,8 +130,3 @@ def verify_crc(block, spec):
     payload = block[..., : -spec.width]
     expected = int_to_bits(crc_value(payload, spec), spec.width)
     return np.all(block[..., -spec.width :] == expected, axis=-1)
-
-
-def crc16_ccitt():
-    """Default CRC: width 16, poly 0x1021, init 0xFFFF (CRC-16/CCITT-FALSE)."""
-    return CrcSpec()

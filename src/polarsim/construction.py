@@ -11,6 +11,15 @@ if TYPE_CHECKING:
     from .codec import CrcSpec
 
 
+# Largest n: a code allocates 2^n-entry arrays; the codes studied have n = 10
+MAX_BLOCK_EXPONENT = 20
+
+
+def _check_block_exponent(n):
+    if not 2 <= n <= MAX_BLOCK_EXPONENT:
+        raise ValueError(f"n must be in [2, {MAX_BLOCK_EXPONENT}], got n={n}")
+
+
 def bit_reversal_permutation(n):
     """Permutation of {0..2^n-1} mapping each index to its bit-reversed value.
 
@@ -59,13 +68,11 @@ class PolarCode:
     n: int
     K: int
     frozen_set: np.ndarray
-    design_snr_db: float = 0.0
     crc: "CrcSpec | None" = None
     info_set: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"n must be >= 2 (N >= 4), got n={self.n}")
+        _check_block_exponent(self.n)
         N = self.N
         if not 0 < self.K <= N:
             raise ValueError(f"K must satisfy 0 < K <= N, got K={self.K}, N={N}")
@@ -79,9 +86,8 @@ class PolarCode:
         if frozen.size and (frozen[0] < 0 or frozen[-1] >= N):
             raise ValueError(f"frozen_set indices must lie in [0, {N})")
         object.__setattr__(self, "frozen_set", frozen)
-        mask = np.ones(N, dtype=bool)
-        mask[frozen] = False
-        object.__setattr__(self, "info_set", np.flatnonzero(mask).astype(np.int64))
+        info = np.flatnonzero(~self.frozen_mask()).astype(np.int64)
+        object.__setattr__(self, "info_set", info)
         if self.crc is not None and self.crc.width >= self.K:
             raise ValueError("CRC width must be smaller than K")
 
@@ -105,14 +111,17 @@ def load_frozen_set(path):
     """Parse a frozen-set file, one decimal index per line (unchecked)."""
     indices = []
     with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                indices.append(np.int64(text))
-            except (ValueError, OverflowError):
-                raise ValueError(f"{path}:{lineno}: not an index: {text!r}")
+        try:
+            for lineno, line in enumerate(fh, 1):
+                text = line.strip()
+                if text:
+                    try:
+                        indices.append(np.int64(text))
+                    except (ValueError, OverflowError):
+                        raise ValueError(f"{path}:{lineno}: not an index: "
+                                         f"{text!r}")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     return np.array(indices, dtype=np.int64)
 
 
@@ -136,6 +145,7 @@ def construct_code(n, K, design_snr_db=0.0, frozen_file=None, crc=None):
 
     The construction is deterministic: identical inputs give identical codes.
     """
+    _check_block_exponent(n)  # before anything allocates 2^n entries
     if frozen_file:
         frozen = load_frozen_set(frozen_file)
     else:
@@ -143,8 +153,7 @@ def construct_code(n, K, design_snr_db=0.0, frozen_file=None, crc=None):
         # stable sort: ties keep the lower index, which freezes first
         frozen = np.sort(np.argsort(-z, kind="stable")[: z.size - K])
     try:  # PolarCode checks n, K, the frozen set and the CRC
-        return PolarCode(n=n, K=K, frozen_set=frozen,
-                         design_snr_db=design_snr_db, crc=crc)
+        return PolarCode(n=n, K=K, frozen_set=frozen, crc=crc)
     except ValueError as exc:
         raise ValueError(f"{frozen_file}: {exc}") if frozen_file else exc
 

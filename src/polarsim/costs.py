@@ -169,8 +169,6 @@ def build_ctsn(M, L):
         raise ValueError(f"M must be in [0, {MAX_SYMBOL_BITS}], got {M}")
     total = (1 << M) * L
     blocks = [list(range(g * L, (g + 1) * L)) for g in range(1 << M)]
-    if len(blocks) == 1:
-        return ComparatorNetwork(total, [], blocks[0], f"ctsn(M={M},L={L})")
     levels, out = _ps_tree(blocks)
     return ComparatorNetwork(total, levels, out, f"ctsn(M={M},L={L})")
 
@@ -218,10 +216,7 @@ def build_tstsn(M, L, q):
             nxt.append(merged)
         levels.extend(_parallel(stage))
         blocks = nxt
-    if len(blocks) > 1:
-        lv, out = _ps_tree(blocks)
-        levels.extend(lv)
-        blocks = [out]
-    return ComparatorNetwork(total, levels, blocks[0],
-                             f"tstsn(M={M},L={L},q={q})")
+    lv, out = _ps_tree(blocks)
+    levels.extend(lv)
+    return ComparatorNetwork(total, levels, out, f"tstsn(M={M},L={L},q={q})")
 

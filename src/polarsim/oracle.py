@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .codec import scatter_info_batch
+from .codec import int_to_bits, scatter_info_batch
 from .construction import bit_reversal_permutation
 
 _LOG2 = np.log(2.0)
@@ -59,11 +59,6 @@ def channel_loglik(y, sigma2):
     return out
 
 
-def _bits_of(values, width):
-    shifts = np.arange(width - 1, -1, -1)
-    return ((np.asarray(values)[..., None] >> shifts) & 1).astype(np.int64)
-
-
 _TAIL_CACHE = {}
 
 
@@ -75,7 +70,7 @@ def _tail_codewords(n, start):
         tail = N - start
         blocks = np.zeros((1 << tail, N), dtype=np.int64)
         if tail:
-            blocks[:, start:] = _bits_of(np.arange(1 << tail), tail)
+            blocks[:, start:] = int_to_bits(np.arange(1 << tail), tail)
         _TAIL_CACHE[key] = ((blocks @ dense_generator(n)) & 1).astype(np.int8)
     return _TAIL_CACHE[key]
 
@@ -128,7 +123,7 @@ def exhaustive_symbol_metric(dense, y, sigma2, j, M, prefix):
     hyps = np.arange(1 << M)
     heads = np.zeros(((1 << M), N), dtype=np.int64)
     heads[:, :a] = prefix
-    heads[:, a : a + M] = _bits_of(hyps, M)
+    heads[:, a : a + M] = int_to_bits(hyps, M)
     head_x = (heads @ dense.matrix) & 1
 
     tail_x = _tail_codewords(dense.code.n, a + M)
@@ -148,7 +143,7 @@ def exhaustive_ml(dense, y, sigma2):
     if code.K > 20:
         raise ValueError("exhaustive ML is limited to K <= 20")
     ll = channel_loglik(np.asarray(y, dtype=np.float64), sigma2)
-    info = _bits_of(np.arange(1 << code.K), code.K)
+    info = int_to_bits(np.arange(1 << code.K), code.K)
     u = scatter_info_batch(code, info).astype(np.int64)
     x = (u @ dense.matrix) & 1
     scores = x @ (ll[:, 1] - ll[:, 0])

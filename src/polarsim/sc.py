@@ -127,7 +127,8 @@ class _PairBank:
     One bank drives every frame and path in lockstep over leading axes
     (batch,) or (batch, list). `up[s]` holds the latest pair emitted by each
     of the N / 2^s nodes of stage s; `ev[s]` holds each node's stored
-    even-step bit decision (the partial sums fed back between stages).
+    even-step bit decision (the partial sums fed back between stages), the
+    only record of the decisions, which `decided` reads back.
 
     Stage 0, `up[0]`, is the caller's float64 channel-pair array itself, of
     shape lead + (N, 2) up to broadcasting: a list axis of size 1 shares
@@ -207,6 +208,21 @@ class _PairBank:
             nxt[..., 1::2] = cur
             cur = nxt
         self.ev[stop][...] = cur
+
+    def decided(self, j):
+        """Bits decided through symbol j (zeros after): `ev[w-k]` holds each
+        finished 2^k-symbol subtree encoded; encoding is an involution."""
+        N = self.ev[0].shape[-1]
+        u = np.zeros(self.lead + (N,), dtype=np.int8)
+        start = 0
+        for s in range(self.w + 1):
+            if (j + 1) >> (self.w - s) & 1:
+                self._settle(1, s)
+                width = N >> s
+                u[..., start : start + width] = encode_bits(
+                    self.ev[s], width.bit_length() - 1)
+                start += width
+        return u
 
     def _defer(self, idx):
         """Compose a (B, L) reorder into each live epoch's pending index."""

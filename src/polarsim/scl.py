@@ -1,6 +1,6 @@
 """Successive cancellation list decoding, bit-based and symbol-based.
 
-Paths carry their decided-bit history and a running log metric; the metric
+Paths carry their decided bits and a running log metric; the metric
 of a path after deciding bit (or symbol) j is the decoder's joint metric of
 the received word and the whole decided prefix, so candidate metrics at any
 step are directly comparable. Pruning uses the selection primitives from
@@ -8,19 +8,19 @@ step are directly comparable. Pruning uses the selection primitives from
 the returned word is the path with the highest final metric (lowest list
 index on ties).
 
-Path state lives in one vectorized bank per decode. Pruning hands the bank
-each survivor's parent index, and the bank defers the reorder: a stage is
-gathered only when the decode next reads it (a lazy copy), which is
-observably equivalent to cloning each surviving path. The path histories
-are gathered at every prune. SC decoding is this loop at L = 1, where the
-single survivor always extends path 0 and nothing is sorted or gathered.
+Path state lives in one vectorized bank per decode, which also holds each
+path's decisions (`_PairBank.decided`): the loop keeps no history array.
+Pruning hands the bank each survivor's parent index, and the bank defers
+the reorder: a stage is gathered only when the decode next reads it (a lazy
+copy), observably equivalent to cloning each surviving path. SC decoding is
+this loop at L = 1: the survivor extends path 0; nothing is sorted or gathered.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .codec import int_to_bits, verify_crc
+from .codec import verify_crc
 from .pruning import full_select, two_stage_select
 from .construction import partition_symbols
 from .sc import (_PairBank, _check_metrics, _check_partition, _symbol_tables,
@@ -44,14 +44,11 @@ def _scl_loop(code, part, metrics, L, q, trace_hook=None, tables=None):
     lead = (B, L) if L > 1 else (B,)
     bank = _PairBank(lead, metrics[:, None] if L > 1 else metrics,
                      code.n - part.m)
-    # each symbol value's M bits (MSB first) and its top-stage partial sums
-    bits = int_to_bits(np.arange(1 << M), M)
+    # each symbol value's top-stage partial sums
     feed = symbol_component_bits(M)
     zero = np.zeros(lead + (M,), dtype=np.int8)
-    hist = np.zeros((B, L, code.N), dtype=np.int8)
     pm = np.full((B, L), -np.inf)
     alpha = 1
-    batch_idx = np.arange(B)[:, None]
     last = part.symbol_count - 1
     for j in range(part.symbol_count):
         pairs = bank.refresh(j)
@@ -82,7 +79,6 @@ def _scl_loop(code, part, metrics, L, q, trace_hook=None, tables=None):
                 idx = np.arange(L)
                 idx[: alpha * beta] = np.tile(np.arange(alpha), beta)
                 bank.take_static(idx)
-                hist = np.take(hist, idx, axis=1)
                 sym = np.zeros((B, L), dtype=np.int64)
                 sym[:, : alpha * beta] = np.repeat(hyps, alpha)
                 pm[:, : alpha * beta] = cons.transpose(0, 2, 1).reshape(B, -1)
@@ -104,16 +100,14 @@ def _scl_loop(code, part, metrics, L, q, trace_hook=None, tables=None):
                     flat = np.pad(flat, ((0, 0), (0, L - kept)))
                 parents = flat // beta
                 bank.gather_paths(parents)
-                hist = hist[batch_idx, parents]
                 pm = np.take_along_axis(cons.reshape(B, -1), flat, axis=1)
                 pm[:, kept:] = -np.inf
                 sym = hyps[flat % beta]
                 alpha = kept
-            hist[:, :, j * M : (j + 1) * M] = bits[sym]
             bank.feed(j, feed[sym])
         if trace_hook is not None:
-            trace_hook(j, alpha, hist, pm)
-    return hist, pm, alpha
+            trace_hook(j, alpha, bank.decided(j).reshape(B, L, -1), pm)
+    return bank.decided(last).reshape(B, L, -1), pm, alpha
 
 
 def scl_decode_batch(code, metrics, list_size, trace_hook=None):

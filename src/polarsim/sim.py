@@ -17,12 +17,12 @@ import hashlib
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import initial_metrics, modulate, noise_sigma2
-from .codec import attach_crc, crc16_ccitt, encode_bits, scatter_info_batch
+from .codec import CrcSpec, attach_crc, encode_bits, scatter_info_batch
 from .construction import MAX_SYMBOL_BITS, construct_code, partition_symbols
 from .sc import sc_decode_batch, symbol_sc_decode_batch
 from .scl import (_best_path, ca_scl_decode_batch, scl_decode_batch,
@@ -126,8 +126,7 @@ class SimConfig:
                     f"no default polynomial for width {self.crc_width}; "
                     f"set crc_poly")
             poly = defaults[self.crc_width]
-        return replace(crc16_ccitt(), width=self.crc_width, poly=poly,
-                       init=(1 << self.crc_width) - 1)
+        return CrcSpec(self.crc_width, poly, (1 << self.crc_width) - 1)
 
     def build_code(self):
         return construct_code(self.n, self.K, design_snr_db=self.design_snr_db,
@@ -239,12 +238,8 @@ def run_point(cfg, snr_db, code=None):
                                  payload_bits, wall)
 
 
-def frozen_set_digest(code):
-    text = "\n".join(str(i) for i in code.frozen_set)
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 def _metadata_text(cfg, code):
+    frozen = "\n".join(str(i) for i in code.frozen_set)
     lines = ["[config]"]
     for key, value in sorted(vars(cfg).items()):
         lines.append(f"{key} = {value}")
@@ -254,7 +249,7 @@ def _metadata_text(cfg, code):
         f"N = {code.N}",
         f"K = {code.K}",
         f"payload_bits = {code.payload_bits}",
-        f"frozen_set_sha256 = {frozen_set_digest(code)}",
+        f"frozen_set_sha256 = {hashlib.sha256(frozen.encode()).hexdigest()}",
         "",
     ]
     return "\n".join(lines)

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polarsim.codec import (CrcSpec, attach_crc, crc16_ccitt, crc_value,
-                            encode_bits, polar_encode, scatter_info, verify_crc)
+from polarsim.codec import (CrcSpec, attach_crc, crc_value, encode_bits,
+                            polar_encode, scatter_info, verify_crc)
 from polarsim.construction import construct_code
 from polarsim.oracle import dense_generator
 
@@ -87,7 +87,7 @@ class TestScatterInfo:
 class TestCrc:
     def test_check_value_ccitt_false(self):
         # classic published check value for this 16-bit variant
-        assert crc_value(_ascii_bits("123456789"), crc16_ccitt()) == 0x29B1
+        assert crc_value(_ascii_bits("123456789"), CrcSpec()) == 0x29B1
 
     def test_zero_payload_zero_init_gives_zero(self):
         spec = CrcSpec(width=8, poly=0x07, init=0)
@@ -98,12 +98,12 @@ class TestCrc:
     def test_roundtrip(self, seed, nbits):
         rng = np.random.default_rng(seed)
         payload = rng.integers(0, 2, size=nbits)
-        block = attach_crc(payload, crc16_ccitt())
-        assert verify_crc(block, crc16_ccitt())
+        block = attach_crc(payload, CrcSpec())
+        assert verify_crc(block, CrcSpec())
 
     def test_single_bit_flip_detected(self):
         rng = np.random.default_rng(0)
-        spec = crc16_ccitt()
+        spec = CrcSpec()
         payload = rng.integers(0, 2, size=24)
         block = attach_crc(payload, spec)
         for k in range(block.size):
@@ -120,7 +120,7 @@ class TestCrc:
         assert 0.02 < rate < 0.12  # 1/16 +- Monte Carlo slack
 
     def test_vectorized_verify(self):
-        spec = crc16_ccitt()
+        spec = CrcSpec()
         rng = np.random.default_rng(2)
         payload = rng.integers(0, 2, size=(5, 7, 20))
         blocks = attach_crc(payload, spec)

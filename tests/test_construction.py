@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polarsim import construction
 from polarsim.codec import encode_bits
-from polarsim.construction import (MAX_SYMBOL_BITS, PolarCode,
-                                   bit_reversal_permutation, construct_code,
-                                   load_frozen_set, partition_symbols)
+from polarsim.construction import (MAX_BLOCK_EXPONENT, MAX_SYMBOL_BITS,
+                                   PolarCode, bit_reversal_permutation,
+                                   construct_code, load_frozen_set,
+                                   partition_symbols)
 
 
 class TestBitReversal:
@@ -103,6 +105,26 @@ class TestConstructCode:
         path.write_text(text)
         with pytest.raises(ValueError, match=re.escape(str(path))):
             construct_code(4, 14, frozen_file=str(path))
+
+    def test_undecodable_frozen_file_names_the_file_once(self, tmp_path):
+        path = tmp_path / "frozen.txt"
+        path.write_bytes(b"\xff\xfe3\n")
+        with pytest.raises(ValueError) as info:
+            construct_code(4, 14, frozen_file=str(path))
+        assert str(info.value).startswith(f"{path}: 'utf-8' codec")
+        assert str(info.value).count(str(path)) == 1
+
+    @pytest.mark.parametrize("n", [1, MAX_BLOCK_EXPONENT + 1, 30])
+    def test_block_exponent_is_bounded(self, n, monkeypatch):
+        # rejected before the recursion allocates 2^n floats
+        def unreachable(*args):
+            raise AssertionError("bhattacharyya_parameters was called")
+        monkeypatch.setattr(construction, "bhattacharyya_parameters",
+                            unreachable)
+        with pytest.raises(ValueError, match=r"n must be in \[2, 20\]"):
+            construct_code(n, 1)
+        with pytest.raises(ValueError, match=r"n must be in \[2, 20\]"):
+            PolarCode(n=n, K=1, frozen_set=np.arange(3))
 
     def test_polar_code_validates_overlap(self):
         with pytest.raises(ValueError):

@@ -110,7 +110,8 @@ class TestNetworkExecution:
         assert np.all(np.diff(out) <= 0)
 
     @pytest.mark.parametrize("M,L,q", [(2, 4, 2), (3, 4, 2), (4, 8, 4),
-                                       (4, 8, 8), (3, 8, 2), (4, 4, 1)])
+                                       (4, 8, 8), (3, 8, 2), (4, 4, 1),
+                                       (2, 1, 1), (4, 1, 1)])
     def test_tstsn_matches_two_stage_prune(self, M, L, q):
         # candidate groups are wired per parent: group g owns wires
         # [g*2^M, (g+1)*2^M)

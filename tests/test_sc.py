@@ -219,6 +219,7 @@ class TestScDecode:
             bits = rng.integers(0, 2, size=(B, L, M))
             lazy.feed(j, bits)
             eager.feed(j, bits)
+            assert np.array_equal(lazy.decided(j), eager.decided(j))
             assert_same_stages()
             reorder()
         assert lazy.t > 0 and np.array_equal(lazy.ev[0], eager.ev[0])
@@ -261,6 +262,8 @@ class TestScDecode:
             sym = hyps[np.argmax(table[hyps])]
             u[j * M : (j + 1) * M] = int_to_bits(sym, M)
             bank.feed(j, symbol_component_bits(M)[sym][None])
+            # the decided prefix, then zeros
+            assert np.array_equal(bank.decided(j)[0], u)
         assert u.any() and not u[code.frozen_set].any()
         # node bit sequences: upper child takes even^odd, lower child takes odd
         seqs = {code.n: [u.astype(np.int64)]}

@@ -317,9 +317,20 @@ class TestCli:
         # a sweep of ~1e300 points, and one that never reaches its stop
         RUN64 + ["--k", "32", "--snr=1:1e-300:2"],
         RUN64 + ["--k", "32", "--snr", "1:-0.5:3"],
+        # a block length above 2^20, rejected before 2^n entries exist; at
+        # 2^20 the code is built and K is what fails
+        ["construct", "--n", "2097152", "--k", "5"],
+        ["construct", "--n", "1073741824", "--k", "5"],
+        ["run", "--n", "2097152", "--k", "5", "--frames", "10", "--snr", "1"],
+        ["construct", "--n", "1048576", "--k", "0"],
+        # a frozen set file that is not UTF-8
+        RUN + ["--frozen-file", "{tmp}/undecodable.txt"],
     ])
-    def test_run_rejects_bad_config_at_the_boundary(self, flags, capsys):
+    def test_run_rejects_bad_config_at_the_boundary(self, flags, capsys,
+                                                    tmp_path):
         # every subcommand reports bad input through the parser
+        (tmp_path / "undecodable.txt").write_bytes(b"\xff\xfe3\n")
+        flags = [f.replace("{tmp}", str(tmp_path)) for f in flags]
         with pytest.raises(SystemExit) as exit_info:
             cli_main(flags)
         assert exit_info.value.code == 2
@@ -328,6 +339,27 @@ class TestCli:
                   if "error:" in line]
         assert len(errors) == 1 and "Traceback" not in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("flags,cause", [
+        (["construct", "--n", "2097152", "--k", "5"], "n must be in [2, 20]"),
+        (RUN + ["--frozen-file", "{tmp}"], "{tmp}: 'utf-8' codec can't decode"),
+    ], ids=["n-above-bound", "undecodable-frozen-file"])
+    def test_boundary_errors_name_their_cause(self, flags, cause, capsys,
+                                              tmp_path):
+        path = tmp_path / "undecodable.txt"
+        path.write_bytes(b"\xff\xfe3\n")
+        flags = [f.replace("{tmp}", str(path)) for f in flags]
+        with pytest.raises(SystemExit):
+            cli_main(flags)
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert cause.replace("{tmp}", str(path)) in err
+        assert err.count(str(tmp_path)) <= 1
+
+    def test_largest_block_length_is_accepted(self, tmp_path):
+        out = tmp_path / "frozen.txt"
+        assert cli_main(["construct", "--n", "1048576", "--k", "1048572",
+                         "--out", str(out)]) == 0
+        assert len(out.read_text().split()) == 4
 
     def test_run_noiseless_point(self, capsys):
         assert cli_main(RUN64 + ["--k", "32", "--snr", "inf"]) == 0
