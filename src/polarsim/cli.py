@@ -43,7 +43,7 @@ def _add_run_parser(sub):
                    help="symbol width M for ssc/sscl (power of two)")
     p.add_argument("--list", dest="list_size", type=int, default=4,
                    help="list size L for scl/cascl/sscl")
-    p.add_argument("--q", type=int, default=0,
+    p.add_argument("--q", type=int, default=None,
                    help="stage-1 survivors per group for sscl (default: L)")
     p.add_argument("--crc-width", type=int, default=0,
                    help="CRC width in bits (0 disables the CRC)")
@@ -68,7 +68,7 @@ def _add_run_parser(sub):
 
 def _cmd_run(args, parser):
     start, step, stop = args.snr
-    q = args.q if args.q > 0 else args.list_size
+    q = args.list_size if args.q is None else args.q
     try:
         cfg = SimConfig(
             n=args.n, K=args.k, decoder=args.decoder,

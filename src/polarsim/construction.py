@@ -45,9 +45,17 @@ def bhattacharyya_parameters(n, design_snr_db):
 
     Starts from Z = exp(-10^(design_snr_db/10)) for the raw channel and
     applies the recursion Z(2i) = 2 Z(i) - Z(i)^2, Z(2i+1) = Z(i)^2.
-    Larger Z means a less reliable channel.
+    Larger Z means a less reliable channel. A design SNR whose raw Z is not
+    strictly between 0 and 1 (NaN, infinite, or so large or small that Z
+    rounds to 0 or 1) orders no channel and raises ValueError.
     """
-    z = np.array([np.exp(-(10.0 ** (design_snr_db / 10.0)))])
+    try:
+        z = np.array([np.exp(-(10.0 ** (float(design_snr_db) / 10.0)))])
+    except OverflowError:  # 10^(s/10) past the float range: Z is 0
+        z = np.zeros(1)
+    if not 0.0 < z[0] < 1.0:
+        raise ValueError(f"design SNR must give a raw Z strictly between 0 "
+                         f"and 1, got {design_snr_db} dB")
     for _ in range(n):
         nxt = np.empty(2 * z.size)
         nxt[0::2] = 2.0 * z - z * z

@@ -8,7 +8,7 @@ never writes or reorders it. Working in the log domain turns the probability
 products into sums; products marginalized over a bit use the exact Jacobian
 logarithm max*(a, b) = max(a, b) + log(1 + exp(-|a - b|)). Halving constants
 are dropped throughout: they are shared by every hypothesis at a given step
-and cancel in all comparisons (the oracle module keeps them).
+and cancel in all comparisons (the tests' brute-force oracle keeps them).
 
 A symbol-based decode of width M = 2^m runs the bit tree cut m stages short:
 node c of its top stage n - m covers received samples [cN/M, (c+1)N/M). The
@@ -76,15 +76,11 @@ def _combine_index_maps(width):
     For each output symbol (bits MSB first), returns the integer formed by
     the xor of adjacent bit pairs and the integer formed by the odd bits.
     """
-    h = np.arange(1 << (2 * width))
-    eo = np.zeros_like(h)
-    odd = np.zeros_like(h)
-    for i in range(width):
-        b_even = (h >> (2 * width - 1 - 2 * i)) & 1
-        b_odd = (h >> (2 * width - 2 - 2 * i)) & 1
-        eo |= (b_even ^ b_odd) << (width - 1 - i)
-        odd |= b_odd << (width - 1 - i)
-    return eo, odd
+    bits = int_to_bits(np.arange(1 << (2 * width)), 2 * width)
+    even, odd = bits[:, 0::2], bits[:, 1::2]
+    # the pack of partition_symbols: bits MSB first to an integer
+    pack = 1 << np.arange(width - 1, -1, -1)
+    return (even ^ odd) @ pack, odd @ pack
 
 
 def channel_combine(left, right):
@@ -272,10 +268,10 @@ def _symbol_tables(pairs):
     return tabs[..., 0, :]
 
 
-def _sc(code, part, metrics, tables=None):
+def _sc(code, part, metrics):
     """SC decode as the list loop at L = 1: path 0's (B, N) decisions."""
     from .scl import _scl_loop  # scl imports this module
-    return _scl_loop(code, part, metrics, 1, 1, tables=tables)[0][:, 0]
+    return _scl_loop(code, part, metrics, 1, 1)[0][:, 0]
 
 
 def sc_decode_batch(code, metrics):
@@ -295,20 +291,14 @@ def sc_decode(code, metrics):
     return sc_decode_batch(code, _check_metrics(code, metrics)[None])[0]
 
 
-def symbol_sc_decode_batch(code, part, metrics, record_tables=False):
+def symbol_sc_decode_batch(code, part, metrics):
     """Symbol-based SC decode of a batch; metrics (B, N, 2) -> (B, N).
 
     Decides M bits per step by maximizing the combined symbol table over the
     hypotheses consistent with the symbol's frozen positions; ties pick the
-    smallest. Fully frozen symbols extend with zeros without evaluating the
-    table (unless tables are being recorded).
-
-    With record_tables=True also returns a list of per-symbol (B, 2^M) log
-    tables (constants dropped).
+    smallest. Fully frozen symbols extend with zeros; no table is built.
     """
-    tables = [] if record_tables else None
-    u = _sc(code, part, metrics, tables)
-    return (u, [t[:, 0] for t in tables]) if record_tables else u
+    return _sc(code, part, metrics)
 
 
 def symbol_sc_decode(code, part, metrics):

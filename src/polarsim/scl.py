@@ -27,10 +27,9 @@ from .sc import (_PairBank, _check_metrics, _check_partition, _symbol_tables,
                  symbol_component_bits)
 
 
-def _scl_loop(code, part, metrics, L, q, trace_hook=None, tables=None):
+def _scl_loop(code, part, metrics, L, q, trace_hook=None):
     """The list decode loop over the symbols of `part`, list size L, q
-    stage-1 survivors per group; returns (histories, metrics, alpha).
-    Appends each symbol's (B, L, 2^M) table to `tables` when given."""
+    stage-1 survivors per group; returns (histories, metrics, alpha)."""
     if L < 1 or (L & (L - 1)):
         raise ValueError(f"list size must be a power of two >= 1, got {L}")
     # q beyond a group's candidate count clamps to keeping the whole group
@@ -60,11 +59,6 @@ def _scl_loop(code, part, metrics, L, q, trace_hook=None, tables=None):
         # L = 1 step sets them only where they are seen: in trace_hook and
         # after the last symbol
         seen = trace_hook is not None or j == last
-        if beta > 1 or tables is not None:
-            # a 1-bit table is the pair itself
-            table = pairs[..., 0, :] if M == 1 else _symbol_tables(pairs)
-            if tables is not None:
-                tables.append(table.copy())
         if beta == 1:
             # zero-symbol extension: metric is the all-zero entry of the
             # would-be table, the sum of the top stage's zero metrics
@@ -72,6 +66,8 @@ def _scl_loop(code, part, metrics, L, q, trace_hook=None, tables=None):
                 pm[:, :alpha] = pairs[:, :alpha, :, 0].sum(axis=-1)
             bank.feed(j, zero)
         else:
+            # a 1-bit table is the pair itself
+            table = pairs[..., 0, :] if M == 1 else _symbol_tables(pairs)
             cons = table[:, :alpha]
             if beta < table.shape[-1]:
                 cons = cons[:, :, hyps]

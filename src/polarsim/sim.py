@@ -90,6 +90,8 @@ class SimConfig:
                              f"most {MAX_SNR_POINTS} points; got {snr}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         # fields that the chosen decoder ignores are not checked
         L, q, M = self.list_size, self.stage1_keep, self.symbol_bits
         if self.decoder in _LIST_DECODERS and (L < 1 or L & (L - 1)):

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .codec import int_to_bits, scatter_info_batch
-from .construction import bit_reversal_permutation
+from polarsim.codec import int_to_bits, scatter_info_batch
+from polarsim.construction import bit_reversal_permutation
 
 _LOG2 = np.log(2.0)
 

@@ -12,12 +12,14 @@ from polarsim.construction import construct_code, partition_symbols
 from polarsim.costs import (build_ctsn, build_tstsn,
                             channel_combination_additions,
                             ml_detector_additions)
-from polarsim.oracle import (DenseCode, combination_identity_sides,
-                             exhaustive_ml, exhaustive_symbol_metric)
 from polarsim.pruning import exactness_check
-from polarsim.sc import sc_decode_batch, symbol_sc_decode_batch
+from polarsim.sc import (_symbol_tables, sc_decode_batch,
+                         symbol_sc_decode_batch)
 from polarsim.scl import _best_path, scl_decode_batch, symbol_scl_decode_batch
 from polarsim.sim import SimConfig, run_campaign, run_point
+
+from oracle import (DenseCode, combination_identity_sides,
+                    exhaustive_ml, exhaustive_symbol_metric)
 
 
 def _report(name, ok, details):
@@ -55,7 +57,7 @@ def test_proposition_identity():
     assert ok
 
 
-def test_oracle_equivalence():
+def test_oracle_equivalence(top_pairs):
     """Symbol-stage metric tables match the exhaustive marginalization up to
     one additive constant, 1e-9 after mean-centering, 200 noise draws."""
     rng = np.random.default_rng(7)
@@ -76,14 +78,14 @@ def test_oracle_equivalence():
             y = modulate(polar_encode(code, u)) + rng.normal(
                 0, math.sqrt(sigma2), code.N)
             met = initial_metrics(y, sigma2)
-            u_hat, tables = symbol_sc_decode_batch(code, part, met[None],
-                                                   record_tables=True)
+            top_pairs.clear()
+            u_hat = symbol_sc_decode_batch(code, part, met[None])
             for j in range(part.symbol_count):
                 if code.N - (j + 1) * M > 16:
                     continue
                 ref = exhaustive_symbol_metric(dense, y, sigma2, j, M,
                                                u_hat[0, : j * M])
-                got = tables[j][0]
+                got = _symbol_tables(top_pairs[j])[0]
                 a = got - got.mean()
                 b = ref - ref.mean()
                 scale = max(1.0, float(np.abs(b).max()))

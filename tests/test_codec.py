@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from polarsim.codec import (CrcSpec, attach_crc, crc_value, encode_bits,
                             polar_encode, scatter_info, verify_crc)
 from polarsim.construction import construct_code
-from polarsim.oracle import dense_generator
+
+from oracle import dense_generator
 
 
 def _ascii_bits(text):

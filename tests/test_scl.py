@@ -4,12 +4,13 @@ import pytest
 from polarsim.channel import initial_metrics, modulate
 from polarsim.codec import CrcSpec, attach_crc, polar_encode, scatter_info
 from polarsim.construction import construct_code, partition_symbols
-from polarsim.oracle import DenseCode, exhaustive_ml, exhaustive_symbol_metric
 from polarsim.sc import (sc_decode, sc_decode_batch, symbol_sc_decode,
                          symbol_sc_decode_batch)
 from polarsim.scl import (_best_path, ca_scl_decode, ca_scl_decode_batch,
                           scl_decode, scl_decode_batch, symbol_scl_decode,
                           symbol_scl_decode_batch)
+
+from oracle import DenseCode, exhaustive_ml, exhaustive_symbol_metric
 
 
 def _transmit(code, rng, sigma2, info=None):

@@ -325,6 +325,21 @@ class TestCli:
         ["construct", "--n", "1048576", "--k", "0"],
         # a frozen set file that is not UTF-8
         RUN + ["--frozen-file", "{tmp}/undecodable.txt"],
+        # an explicit q is checked against [1, L], not read as "use L"
+        RUN + ["--decoder", "sscl", "--list", "4", "--q", "0"],
+        RUN + ["--decoder", "sscl", "--list", "4", "--q", "-3"],
+        # numpy's generators take no negative seed
+        RUN + ["--seed", "-1"],
+        # a design SNR whose raw Z is NaN, 1 (-inf, or rounded), or 0 (by
+        # overflow or underflow): it leaves every channel tied
+        ["construct", "--n", "16", "--k", "8", "--design-snr", "nan"],
+        ["construct", "--n", "16", "--k", "8", "--design-snr=-inf"],
+        ["construct", "--n", "16", "--k", "8", "--design-snr=-200"],
+        ["construct", "--n", "16", "--k", "8", "--design-snr", "1e5"],
+        ["construct", "--n", "16", "--k", "8", "--design-snr", "40"],
+        ["construct", "--n", "16", "--k", "8", "--design-snr", "inf"],
+        RUN + ["--design-snr", "nan"],
+        RUN + ["--design-snr", "1e5"],
     ])
     def test_run_rejects_bad_config_at_the_boundary(self, flags, capsys,
                                                     tmp_path):
@@ -343,7 +358,13 @@ class TestCli:
     @pytest.mark.parametrize("flags,cause", [
         (["construct", "--n", "2097152", "--k", "5"], "n must be in [2, 20]"),
         (RUN + ["--frozen-file", "{tmp}"], "{tmp}: 'utf-8' codec can't decode"),
-    ], ids=["n-above-bound", "undecodable-frozen-file"])
+        (RUN + ["--decoder", "sscl", "--list", "4", "--q", "-3"],
+         "stage1_keep must be in [1, list_size=4], got -3"),
+        (RUN + ["--seed", "-1"], "seed must be >= 0, got -1"),
+        (["construct", "--n", "16", "--k", "8", "--design-snr", "1e5"],
+         "design SNR must give a raw Z strictly between 0 and 1"),
+    ], ids=["n-above-bound", "undecodable-frozen-file", "negative-q",
+            "negative-seed", "design-snr-overflow"])
     def test_boundary_errors_name_their_cause(self, flags, cause, capsys,
                                               tmp_path):
         path = tmp_path / "undecodable.txt"
