@@ -138,13 +138,17 @@ class _PairBank:
     (k = 0) or `ev` (k = 1) was last in order at reorder count
     `epoch[k][s]`, and `chain[e]` is the pending (B, L) index from epoch e's
     order to the current one. At L = 1 nothing is reordered and `t` stays 0.
+
+    A rate-0 block, 2^k aligned frozen symbols, takes one `refresh` of the
+    stages above its root w - k and one `feed` of its zeros; the stages it
+    skips are overwritten before they are next read.
     """
 
     def __init__(self, lead, channel_pairs, w):
         N = channel_pairs.shape[-2]
         self.lead = tuple(lead)
         self.w = w
-        # refresh(0) computes every stage above 0 before any is read
+        # refresh computes each stage above 0 before it is read
         self.up = [channel_pairs] + [np.empty(self.lead + (N >> s, 2))
                                      for s in range(1, w + 1)]
         self.ev = [np.zeros(self.lead + (N >> s,), dtype=np.int8)
@@ -162,42 +166,48 @@ class _PairBank:
             arrs[s] = arrs[s][self._b, self.chain[e]]
             self.epoch[k][s] = self.t
 
-    def refresh(self, j):
-        """Advance metric computation for symbol j; return the top pairs.
+    def refresh(self, j, top=None):
+        """Advance metric computation for symbol j; return `up[top]`, the top
+        pairs when `top` is w (the default).
 
         Stage s recomputes when j is a multiple of 2^(w-s): with the partner
         bit still undecided it marginalizes (check form), afterwards it uses
         the stored partial sum (combine form). At j > 0 the lowest stage
         recomputed, d = w - tz(j), is the one in combine form; it reads
-        `up[d-1]` and `ev[d]`, and every stage of `up` from d on is
-        overwritten.
+        `up[d-1]` and `ev[d]`, and every stage of `up` from d to `top` is
+        overwritten. A rate-0 block of 2^k symbols starting at j passes
+        top = w - k - 1, which is below d when the block is a right child.
         """
+        top = self.w if top is None else top
         d = self.w - ((j & -j).bit_length() - 1) if j else 0
         lo = d or 1
-        if self.t:
+        if self.t and lo <= top:
             self._settle(0, lo - 1)
             self._settle(1, d)
-            self.epoch[0][lo:] = [self.t] * (self.w + 1 - lo)
-        for s in range(lo, self.w + 1):
+            self.epoch[0][lo : top + 1] = [self.t] * (top + 1 - lo)
+        for s in range(lo, top + 1):
             below = self.up[s - 1]
             upper, lower = below[..., 0::2, :], below[..., 1::2, :]
             if s == d:
                 transform_combine(upper, lower, self.ev[s], out=self.up[s])
             else:
                 transform_check(upper, lower, out=self.up[s])
-        return self.up[self.w]
+        return self.up[top]
 
     def feed(self, j, bits):
-        """Record symbol j's M re-encoded bits and cascade partial sums:
-        read `ev[s]` for s = w, ..., stop + 1 and overwrite `ev[stop]`."""
+        """Record the re-encoded bits of the symbols ending at j, M per
+        symbol, and cascade partial sums: for a block of 2^k symbols, read
+        `ev[s]` for s = w - k, ..., stop + 1 and overwrite `ev[stop]`."""
         cur = np.asarray(bits, dtype=np.int8).reshape(self.lead + (-1,))
+        # stage w - k, whose nodes span as many bits as the block
+        start = (self.ev[0].shape[-1] // cur.shape[-1]).bit_length() - 1
         # j < 2^w has at most w trailing one bits, so stop >= 0
         stop = self.w + 1 - ((j + 1) & -(j + 1)).bit_length()
         if self.t:
-            for s in range(stop + 1, self.w + 1):
+            for s in range(stop + 1, start + 1):
                 self._settle(1, s)
             self.epoch[1][stop] = self.t
-        for s in range(self.w, stop, -1):
+        for s in range(start, stop, -1):
             upper = self.ev[s] ^ cur
             nxt = np.empty(self.lead + (2 * upper.shape[-1],), dtype=np.int8)
             nxt[..., 0::2] = upper

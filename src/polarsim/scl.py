@@ -29,7 +29,11 @@ from .sc import (_PairBank, _check_metrics, _check_partition, _symbol_tables,
 
 def _scl_loop(code, part, metrics, L, q, trace_hook=None):
     """The list decode loop over the symbols of `part`, list size L, q
-    stage-1 survivors per group; returns (histories, metrics, alpha)."""
+    stage-1 survivors per group; returns (histories, metrics, alpha).
+    Aligned runs of frozen symbols (rate-0 subtrees) take one step each: a
+    frozen step never prunes, and its metric is not read before the next
+    information step overwrites it. The last symbol, whose metric is
+    returned, and all symbols of a traced decode step one by one."""
     if L < 1 or (L & (L - 1)):
         raise ValueError(f"list size must be a power of two >= 1, got {L}")
     # q beyond a group's candidate count clamps to keeping the whole group
@@ -41,15 +45,31 @@ def _scl_loop(code, part, metrics, L, q, trace_hook=None):
     # no list axis at L = 1: a rank smaller makes each numpy call in refresh
     # and feed cheaper. Every path shares stage 0, the metrics themselves
     lead = (B, L) if L > 1 else (B,)
-    bank = _PairBank(lead, metrics[:, None] if L > 1 else metrics,
-                     code.n - part.m)
+    w = code.n - part.m
+    bank = _PairBank(lead, metrics[:, None] if L > 1 else metrics, w)
     # each symbol value's top-stage partial sums
     feed = symbol_component_bits(M)
     zero = np.zeros(lead + (M,), dtype=np.int8)
     pm = np.full((B, L), -np.inf)
     alpha = 1
     last = part.symbol_count - 1
-    for j in range(part.symbol_count):
+    # span[j] = 2^k when symbols j .. j + 2^k - 1 are frozen, j is a multiple
+    # of 2^k and k is the largest such; 0 where symbols step one by one
+    rate0 = part.frozen.all(axis=1) & (trace_hook is None)
+    rate0[last] = False
+    span = np.zeros(last + 1, dtype=np.int64)
+    for k in range(w + 1):
+        span[:: 1 << k][rate0.reshape(-1, 1 << k).all(axis=1)] = 1 << k
+    span = span.tolist()
+    j = 0
+    while j <= last:
+        if span[j]:
+            # only the stages above the block's root, then its zeros
+            size = span[j]
+            bank.refresh(j, w - size.bit_length())
+            j += size
+            bank.feed(j - 1, np.zeros(lead + (size * M,), dtype=np.int8))
+            continue
         pairs = bank.refresh(j)
         if L == 1:
             pairs = pairs[:, None]
@@ -103,6 +123,7 @@ def _scl_loop(code, part, metrics, L, q, trace_hook=None):
             bank.feed(j, feed[sym])
         if trace_hook is not None:
             trace_hook(j, alpha, bank.decided(j).reshape(B, L, -1), pm)
+        j += 1
     return bank.decided(last).reshape(B, L, -1), pm, alpha
 
 

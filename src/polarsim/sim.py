@@ -2,13 +2,14 @@
 
 Frames are distributed round-robin over `workers` logical streams, each
 backed by its own SeedSequence-spawned generator, and processed in
-vectorized batches of whole rounds. The global frame order (round-major,
-worker-minor) is what early stopping is defined on: the run counts every
-frame up to and including the frame that reaches the error budget, so the
-estimator is the standard unbiased fixed-stopping-rule one. Results are
-byte-reproducible for identical configurations: the CSV's wall_seconds
-column is written as 0 (measured time lives on the FerRecord and the
-console log; file output must not depend on the clock).
+vectorized batches of whole rounds, the last one cut at the frame budget.
+The global frame order (round-major, worker-minor) is what early stopping
+is defined on: the run counts every frame up to and including the frame
+that reaches the error budget, so the estimator is the standard unbiased
+fixed-stopping-rule one. Results are byte-reproducible for identical
+configurations: the CSV's wall_seconds column is written as 0 (measured
+time lives on the FerRecord and the console log; file output must not
+depend on the clock).
 """
 
 from __future__ import annotations
@@ -193,8 +194,9 @@ def run_point(cfg, snr_db, code=None):
     metric_sigma2 = sigma2 if sigma2 > 0 else 1.0  # any constant: argmax-invariant
     decode = _make_decoder(cfg, code)
     W = cfg.workers
+    # workers past max_frames never draw: frame f is drawn by worker f % W
     rngs = [np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(w,)))
-            for w in range(W)]
+            for w in range(min(W, cfg.max_frames))]
     rounds_per_batch = _auto_rounds(cfg)
     crc = code.crc
 
@@ -204,18 +206,17 @@ def run_point(cfg, snr_db, code=None):
     bit_errors = 0
     budget = cfg.max_frames
     while frames < budget:
-        rounds = min(rounds_per_batch, (budget - frames + W - 1) // W)
-        payloads = np.empty((rounds, W, payload_bits), dtype=np.int8)
-        noise = np.empty((rounds, W, code.N))
+        # whole rounds, so batch frame f is worker f % W's; the last batch
+        # stops at the budget, and no stream is read past the final frame
+        count = min(rounds_per_batch * W, budget - frames)
+        payloads = np.empty((count, payload_bits), dtype=np.int8)
+        noise = np.empty((count, code.N))
         # one (payload, noise) draw pair per frame keeps each worker's stream
         # consumption independent of how many rounds a batch spans
-        for r in range(rounds):
-            for w, rng in enumerate(rngs):
-                payloads[r, w] = rng.integers(0, 2, size=payload_bits,
-                                              dtype=np.int8)
-                noise[r, w] = rng.standard_normal(code.N)
-        payloads = payloads.reshape(rounds * W, payload_bits)
-        noise = noise.reshape(rounds * W, code.N)
+        for f in range(count):
+            rng = rngs[f % W]
+            payloads[f] = rng.integers(0, 2, size=payload_bits, dtype=np.int8)
+            noise[f] = rng.standard_normal(code.N)
         info = attach_crc(payloads, crc) if crc is not None else payloads
         u = scatter_info_batch(code, info)
         x = encode_bits(u, code.n)
@@ -224,7 +225,6 @@ def run_point(cfg, snr_db, code=None):
         u_hat = decode(metrics)
         payload_hat = u_hat[:, code.info_set][:, :payload_bits]
         bit_errs = (payload_hat != payloads).sum(axis=1)
-        bit_errs = bit_errs[:budget - frames]
         err = bit_errs > 0
         if cfg.max_frame_errors > 0:
             cum = frame_errors + np.cumsum(err)

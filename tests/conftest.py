@@ -5,13 +5,15 @@ from polarsim.sc import _PairBank
 
 @pytest.fixture
 def top_pairs(monkeypatch):
-    """A list that receives a copy of the top-stage pairs `_PairBank.refresh`
-    returns at each symbol of every decode, frozen symbols included."""
+    """A list that receives a copy of the pairs `_PairBank.refresh` returns
+    at each step of every decode. A decode given a `trace_hook` steps one
+    symbol at a time, so it records each symbol's top-stage pairs, frozen
+    symbols included."""
     seen = []
     refresh = _PairBank.refresh
 
-    def recording_refresh(self, j):
-        pairs = refresh(self, j)
+    def recording_refresh(self, j, *args):
+        pairs = refresh(self, j, *args)
         seen.append(pairs.copy())
         return pairs
 

@@ -79,7 +79,10 @@ def test_oracle_equivalence(top_pairs):
                 0, math.sqrt(sigma2), code.N)
             met = initial_metrics(y, sigma2)
             top_pairs.clear()
-            u_hat = symbol_sc_decode_batch(code, part, met[None])
+            # a traced decode refreshes every symbol, frozen ones included;
+            # at L = 1 it is SC
+            u_hat = symbol_scl_decode_batch(code, part, met[None], 1, 1,
+                                            trace_hook=lambda *a: None)[0][:, 0]
             for j in range(part.symbol_count):
                 if code.N - (j + 1) * M > 16:
                     continue

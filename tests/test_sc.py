@@ -8,6 +8,7 @@ from polarsim.sc import (_PairBank, _symbol_tables, channel_combine, sc_decode,
                          sc_decode_batch, symbol_component_bits,
                          symbol_sc_decode, symbol_sc_decode_batch,
                          transform_check, transform_combine)
+from polarsim.scl import symbol_scl_decode_batch
 
 from oracle import DenseCode, exhaustive_symbol_metric
 
@@ -334,7 +335,10 @@ class TestSymbolScDecode:
             sigma2 = 0.5
             _, met, y = _transmit_code(code, rng, sigma2)
             top_pairs.clear()
-            u = symbol_sc_decode_batch(code, part, met[None])
+            # a traced decode refreshes every symbol, frozen ones included;
+            # at L = 1 it is SC
+            u = symbol_scl_decode_batch(code, part, met[None], 1, 1,
+                                        trace_hook=lambda *a: None)[0][:, 0]
             for j in range(part.symbol_count):
                 ref = exhaustive_symbol_metric(dense, y, sigma2, j, part.M,
                                                u[0, : j * part.M])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from polarsim import sc
 from polarsim.channel import initial_metrics, modulate
 from polarsim.codec import CrcSpec, attach_crc, polar_encode, scatter_info
 from polarsim.construction import construct_code, partition_symbols
@@ -89,22 +90,68 @@ class TestSclDecode:
         for word in words:
             assert word.tolist() == [0] * code.N
 
-    @pytest.mark.parametrize("m,L", [(0, 1), (0, 4), (2, 1), (2, 4)])
-    def test_final_metrics_independent_of_trace_hook(self, m, L):
-        # frozen and L = 1 steps set the path metrics only where they are
-        # seen; the returned ones must equal those of a traced decode
+    # frozen sets of N = 64 read from a file: the first 32 bits frozen (one
+    # 32-bit rate-0 block at M = 1), and the last bit frozen along with
+    # symbols spread through the word (the last symbol, whose metric is
+    # returned, steps alone)
+    _FROZEN_FILES = {
+        "first": list(range(32)) + [33, 34, 36, 40, 48],
+        "last": list(range(0, 64, 3)) + [61, 62],
+    }
+
+    @pytest.mark.parametrize("K,m,L,q", [
+        *(pytest.param(24, m, L, L, id=f"{m}-{L}")
+          for m, L in ((0, 1), (0, 4), (2, 1), (2, 4))),
+        (24, 1, 8, 2), (4, 0, 1, 1), (4, 1, 8, 8), (64, 0, 8, 8),
+        (64, 2, 2, 2), ("first", 0, 2, 2), ("first", 2, 8, 8),
+        ("last", 0, 8, 8), ("last", 1, 2, 2), ("last", 2, 1, 1),
+        ("last", 2, 8, 4)])
+    def test_final_metrics_independent_of_trace_hook(self, tmp_path, K, m,
+                                                      L, q):
+        # an untraced decode skips rate-0 blocks, a traced one steps every
+        # symbol; frozen and L = 1 steps set the path metrics only where
+        # they are seen, and the returned ones must equal the traced ones
         rng = np.random.default_rng(6)
-        code = construct_code(6, 24)
+        if isinstance(K, str):
+            path = tmp_path / "frozen.txt"
+            frozen = self._FROZEN_FILES[K]
+            path.write_text("".join(f"{i}\n" for i in frozen))
+            code = construct_code(6, 64 - len(frozen), frozen_file=str(path))
+        else:
+            code = construct_code(6, K)
         part = partition_symbols(code, m)
         met = initial_metrics(rng.normal(0, 1, (5, code.N)), 0.5)
         seen = []
         hook = lambda j, a, h, pm: seen.append(pm.copy())
-        hist, pm, alpha = symbol_scl_decode_batch(code, part, met, L, L)
-        hist_t, pm_t, alpha_t = symbol_scl_decode_batch(code, part, met, L, L,
+        hist, pm, alpha = symbol_scl_decode_batch(code, part, met, L, q)
+        hist_t, pm_t, alpha_t = symbol_scl_decode_batch(code, part, met, L, q,
                                                         trace_hook=hook)
         assert np.array_equal(hist, hist_t) and alpha == alpha_t
         assert np.array_equal(pm, pm_t) and np.array_equal(pm, seen[-1])
         assert np.all(np.isfinite(pm[:, :alpha]))
+
+    @pytest.mark.parametrize("K,m,calls", [(512, 0, 1124), (512, 2, 333),
+                                           (256, 0, 644), (256, 2, 228)])
+    def test_rate0_blocks_skip_pair_transforms(self, monkeypatch, K, m, calls):
+        # each rate-0 block computes only the stages above its root; a
+        # traced decode runs every transform, 2^(w+1) - 2 per decode
+        made = []
+        for name in ("transform_check", "transform_combine"):
+            def counted(*args, _fn=getattr(sc, name), **kwargs):
+                made.append(1)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(sc, name, counted)
+        code = construct_code(10, K)
+        part = partition_symbols(code, m)
+        met = np.zeros((1, code.N, 2))
+        for L in (1, 4):
+            made.clear()
+            symbol_scl_decode_batch(code, part, met, L, L)
+            assert len(made) == calls
+            made.clear()
+            symbol_scl_decode_batch(code, part, met, L, L,
+                                    trace_hook=lambda *a: None)
+            assert len(made) == (2 << (code.n - m)) - 2
 
     def test_noiseless(self):
         rng = np.random.default_rng(1)

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from polarsim import sim
 from polarsim.cli import main as cli_main
 from polarsim.sim import (CSV_HEADER, MAX_SNR_POINTS, FerRecord, SimConfig,
                           _auto_rounds, run_campaign, run_point)
@@ -54,6 +55,24 @@ class TestRunPoint:
         # list decoders reorder their path state lazily
         cfg = SimConfig(**dict(dict(n=10, K=512, workers=1), **kw))
         assert _auto_rounds(cfg) == rounds
+
+    @pytest.mark.parametrize("workers,max_frames,batch_rounds", [
+        (64, 3, 0), (1000, 2, 0), (5, 13, 2)])
+    def test_decodes_only_the_frames_in_budget(self, monkeypatch, workers,
+                                               max_frames, batch_rounds):
+        # the last batch stops at the budget, even inside a round: no frame
+        # past it is drawn or decoded
+        sizes = []
+        decode = sim._DECODERS["sc"]
+
+        def counted(m, *args):
+            sizes.append(len(m))
+            return decode(m, *args)
+
+        monkeypatch.setitem(sim._DECODERS, "sc", counted)
+        rec = run_point(_small_cfg(workers=workers, max_frames=max_frames,
+                                   batch_rounds=batch_rounds), 2.0)
+        assert rec.frames == sum(sizes) == max_frames
 
     def test_early_stop_counts_through_stopping_frame(self):
         cfg = _small_cfg(max_frames=100000, max_frame_errors=20)
