@@ -68,12 +68,11 @@ def _add_run_parser(sub):
 
 def _cmd_run(args, parser):
     start, step, stop = args.snr
-    q = args.list_size if args.q is None else args.q
     try:
         cfg = SimConfig(
             n=args.n, K=args.k, decoder=args.decoder,
             symbol_bits=args.symbol_bits, list_size=args.list_size,
-            stage1_keep=q, snr_start=start, snr_step=step, snr_stop=stop,
+            stage1_keep=args.q, snr_start=start, snr_step=step, snr_stop=stop,
             max_frames=args.frames, max_frame_errors=args.max_errors,
             seed=args.seed, workers=args.workers, out=args.out,
             design_snr_db=args.design_snr, frozen_file=args.frozen_file,

@@ -30,6 +30,11 @@ def encode_bits(bits, n):
     return _butterfly(np.asarray(bits)[..., perm])
 
 
+def _check_binary(bits, name):
+    if not np.isin(bits, (0, 1)).all():
+        raise ValueError(f"{name} entries must be 0 or 1")
+
+
 def polar_encode(code, u):
     """Encode u into a codeword: bit-reversal permutation then butterfly stages.
 
@@ -47,6 +52,7 @@ def polar_encode(code, u):
     u = np.asarray(u)
     if u.shape != (code.N,):
         raise ValueError(f"u must have length {code.N}, got shape {u.shape}")
+    _check_binary(u, "u")
     if np.any(u[code.frozen_set] != 0):
         raise ValueError("frozen positions of u must be zero")
     return encode_bits(u, code.n)
@@ -57,11 +63,12 @@ def scatter_info(code, info):
     info = np.asarray(info)
     if info.shape != (code.K,):
         raise ValueError(f"info must have length {code.K}, got shape {info.shape}")
+    _check_binary(info, "info")
     return scatter_info_batch(code, info)
 
 
 def scatter_info_batch(code, info):
-    """Batched scatter_info: info has shape (..., K)."""
+    """Batched scatter_info: info has shape (..., K); bits are not checked."""
     info = np.asarray(info)
     u = np.zeros(info.shape[:-1] + (code.N,), dtype=np.int8)
     u[..., code.info_set] = info

@@ -2,10 +2,11 @@
 
 Addition counts compare the direct per-symbol detector against the
 recursive table combination. Sorting networks are built explicitly out of
-bitonic partial-sorter blocks and their comparator count and depth are read
-off the constructed object; the same construction is executable, so tests
-can check that a network selects exactly the survivors the pruning
-operations select.
+bitonic partial-sorter blocks (Batcher, AFIPS 1968) as lists of
+comparators in program order; their ranks, and so the comparator count
+and depth, are derived from that list by the constructed object. The same
+construction is executable, so tests can check that a network selects
+exactly the survivors the pruning operations select.
 
 A "ps-2k-to-k" block takes 2k unsorted wires and outputs the k largest,
 sorted: it bitonically sorts each half (ascending / descending), runs one
@@ -55,15 +56,25 @@ def channel_combination_additions(M):
 
 
 class ComparatorNetwork:
-    """A sorting network as ranks of disjoint compare-exchange pairs.
+    """A sorting network: compare-exchange pairs kept in program order.
 
-    Each level is a list of (max_wire, min_wire) pairs applied in parallel;
-    `outputs` are the surviving wires in descending sorted order.
+    `program` lists (max_wire, min_wire) pairs in the order they apply.
+    Each pair is placed in the earliest rank after every earlier pair on
+    either of its wires, so `levels` holds ranks of disjoint pairs that
+    apply in parallel and `depth` is their count. `outputs` are the
+    surviving wires in descending sorted order.
     """
 
-    def __init__(self, size, levels, outputs, label):
+    def __init__(self, size, program, outputs, label):
         self.size = size
-        self.levels = [lvl for lvl in levels if lvl]
+        self.levels = []
+        free = [0] * size  # the first rank each wire is free in
+        for hi, lo in program:
+            rank = max(free[hi], free[lo])
+            if rank == len(self.levels):
+                self.levels.append([])
+            self.levels[rank].append((hi, lo))
+            free[hi] = free[lo] = rank + 1
         self.outputs = list(outputs)
         self.label = label
 
@@ -89,19 +100,7 @@ class ComparatorNetwork:
         return v[self.outputs]
 
 
-def _parallel(level_lists):
-    """Side-by-side composition of level lists on disjoint wires."""
-    merged = []
-    for depth in range(max((len(ls) for ls in level_lists), default=0)):
-        rank = []
-        for ls in level_lists:
-            if depth < len(ls):
-                rank.extend(ls[depth])
-        merged.append(rank)
-    return merged
-
-
-def _merge_levels(wires, descending=True):
+def _merge(wires, descending=True):
     """Bitonic merge: sorts a bitonic wire sequence into the given order."""
     n = len(wires)
     if n == 1:
@@ -111,55 +110,37 @@ def _merge_levels(wires, descending=True):
         rank = [(wires[i], wires[i + h]) for i in range(h)]
     else:
         rank = [(wires[i + h], wires[i]) for i in range(h)]
-    halves = _parallel([_merge_levels(wires[:h], descending),
-                        _merge_levels(wires[h:], descending)])
-    return [rank] + halves
+    return (rank + _merge(wires[:h], descending)
+            + _merge(wires[h:], descending))
 
 
-def _sort_levels(wires, descending=True):
+def _sort(wires, descending=True):
     """Full bitonic sorter on unsorted wires."""
     n = len(wires)
     if n == 1:
         return []
     h = n // 2
-    head = _parallel([_sort_levels(wires[:h], descending=False),
-                      _sort_levels(wires[h:], descending=True)])
-    return head + _merge_levels(wires, descending)
+    return (_sort(wires[:h], descending=False)
+            + _sort(wires[h:], descending=True) + _merge(wires, descending))
 
 
-def _ps_block_levels(block_a, block_b):
+def _ps_block(block_a, block_b):
     """Partial sorter: keep the k largest of two unsorted k-wire blocks.
 
     Survivors land on `block_a`, sorted descending.
     """
-    head = _parallel([_sort_levels(block_a, descending=False),
-                      _sort_levels(block_b, descending=True)])
-    clean = [[(a, b) for a, b in zip(block_a, block_b)]]
-    return head + clean + _merge_levels(block_a, descending=True)
-
-
-def _full_merge_levels(block_p, block_q):
-    """Merge two descending-sorted blocks into one descending 2k block.
-
-    Reversing the first block makes the concatenation bitonic; no inputs
-    are discarded. The merged order is reversed(p) + q.
-    """
-    wires = list(reversed(block_p)) + list(block_q)
-    return _merge_levels(wires, descending=True), wires
+    return (_sort(block_a, descending=False) + _sort(block_b, descending=True)
+            + list(zip(block_a, block_b)) + _merge(block_a, descending=True))
 
 
 def _ps_tree(blocks):
     """Binary tree of partial-sorter blocks reducing to a single block."""
-    levels = []
+    program = []
     while len(blocks) > 1:
-        stage = []
-        nxt = []
-        for i in range(0, len(blocks), 2):
-            stage.append(_ps_block_levels(blocks[i], blocks[i + 1]))
-            nxt.append(blocks[i])
-        levels.extend(_parallel(stage))
-        blocks = nxt
-    return levels, blocks[0]
+        for a, b in zip(blocks[::2], blocks[1::2]):
+            program += _ps_block(a, b)
+        blocks = blocks[::2]
+    return program, blocks[0]
 
 
 def build_ctsn(M, L):
@@ -169,8 +150,8 @@ def build_ctsn(M, L):
         raise ValueError(f"M must be in [0, {MAX_SYMBOL_BITS}], got {M}")
     total = (1 << M) * L
     blocks = [list(range(g * L, (g + 1) * L)) for g in range(1 << M)]
-    levels, out = _ps_tree(blocks)
-    return ComparatorNetwork(total, levels, out, f"ctsn(M={M},L={L})")
+    program, out = _ps_tree(blocks)
+    return ComparatorNetwork(total, program, out, f"ctsn(M={M},L={L})")
 
 
 def build_tstsn(M, L, q):
@@ -187,36 +168,25 @@ def build_tstsn(M, L, q):
     if not 1 <= M <= MAX_SYMBOL_BITS:  # 2^M * L wires
         raise ValueError(f"M must be in [1, {MAX_SYMBOL_BITS}], got {M}")
     size = 1 << M
-    total = size * L
     q_eff = min(q, size)
-    levels = []
-
-    stage1 = []
-    survivors = []
+    program = []
+    blocks = []
     for g in range(L):
         wires = list(range(g * size, (g + 1) * size))
         if q_eff == size:
-            stage1.append(_sort_levels(wires, descending=True))
-            survivors.append(wires)
+            program += _sort(wires)
+            blocks.append(wires)
         else:
-            blocks = [wires[i : i + q_eff] for i in range(0, size, q_eff)]
-            lv, out = _ps_tree(blocks)
-            stage1.append(lv)
-            survivors.append(out)
-    levels.extend(_parallel(stage1))
-
-    # stage 2: blocks arrive sorted descending
-    blocks = [b[:L] for b in survivors]  # sorted: the top L are a prefix
+            tree, out = _ps_tree([wires[i : i + q_eff]
+                                  for i in range(0, size, q_eff)])
+            program += tree
+            blocks.append(out)
+    # stage 2: each block arrives sorted descending (at most L wires), so a
+    # reversed block followed by the next is bitonic and merges whole
     while len(blocks[0]) < L:
-        stage = []
-        nxt = []
-        for i in range(0, len(blocks), 2):
-            lv, merged = _full_merge_levels(blocks[i], blocks[i + 1])
-            stage.append(lv)
-            nxt.append(merged)
-        levels.extend(_parallel(stage))
-        blocks = nxt
-    lv, out = _ps_tree(blocks)
-    levels.extend(lv)
-    return ComparatorNetwork(total, levels, out, f"tstsn(M={M},L={L},q={q})")
-
+        blocks = [a[::-1] + b for a, b in zip(blocks[::2], blocks[1::2])]
+        for wires in blocks:
+            program += _merge(wires)
+    tree, out = _ps_tree(blocks)
+    return ComparatorNetwork(size * L, program + tree, out,
+                             f"tstsn(M={M},L={L},q={q})")

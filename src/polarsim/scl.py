@@ -75,15 +75,14 @@ def _scl_loop(code, part, metrics, L, q, trace_hook=None):
             pairs = pairs[:, None]
         hyps = part.hypotheses[j]
         beta = hyps.size
-        # selection reads the tables, never the path metrics, so a frozen or
-        # L = 1 step sets them only where they are seen: in trace_hook and
-        # after the last symbol
+        # selection reads the tables, never the path metrics, so an L = 1
+        # step sets them only where they are seen: in trace_hook and after
+        # the last symbol. A frozen symbol steps alone only where it is seen
         seen = trace_hook is not None or j == last
         if beta == 1:
             # zero-symbol extension: metric is the all-zero entry of the
             # would-be table, the sum of the top stage's zero metrics
-            if seen:
-                pm[:, :alpha] = pairs[:, :alpha, :, 0].sum(axis=-1)
+            pm[:, :alpha] = pairs[:, :alpha, :, 0].sum(axis=-1)
             bank.feed(j, zero)
         else:
             # a 1-bit table is the pair itself

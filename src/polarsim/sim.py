@@ -24,7 +24,8 @@ import numpy as np
 
 from .channel import initial_metrics, modulate, noise_sigma2
 from .codec import CrcSpec, attach_crc, encode_bits, scatter_info_batch
-from .construction import MAX_SYMBOL_BITS, construct_code, partition_symbols
+from .construction import (MAX_SYMBOL_BITS, _check_block_exponent,
+                           construct_code, partition_symbols)
 from .sc import sc_decode_batch, symbol_sc_decode_batch
 from .scl import (_best_path, ca_scl_decode_batch, scl_decode_batch,
                   symbol_scl_decode_batch)
@@ -60,7 +61,7 @@ class SimConfig:
     decoder: str = "scl"
     symbol_bits: int = 4
     list_size: int = 4
-    stage1_keep: int = 4
+    stage1_keep: int | None = None  # None: list_size
     snr_start: float = 1.0
     snr_step: float = 0.5
     snr_stop: float = 3.0
@@ -93,6 +94,9 @@ class SimConfig:
             raise ValueError("workers must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _check_block_exponent(self.n)  # before 1 << n below
+        if self.stage1_keep is None:  # recorded as the q actually used
+            object.__setattr__(self, "stage1_keep", self.list_size)
         # fields that the chosen decoder ignores are not checked
         L, q, M = self.list_size, self.stage1_keep, self.symbol_bits
         if self.decoder in _LIST_DECODERS and (L < 1 or L & (L - 1)):

@@ -40,6 +40,15 @@ class TestPolarEncode:
         with pytest.raises(ValueError):
             polar_encode(code, u)
 
+    def test_non_binary_rejected(self):
+        # a 2 at an information position would otherwise be encoded as is
+        code = construct_code(3, 4)
+        u = np.zeros(8, dtype=int)
+        u[code.info_set[0]] = 2
+        for bad in (u, -u // 2, u / 4):
+            with pytest.raises(ValueError, match="u entries must be 0 or 1"):
+                polar_encode(code, bad)
+
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_matches_dense_matrix(self, n):
         rng = np.random.default_rng(n)
@@ -83,6 +92,12 @@ class TestScatterInfo:
         code = construct_code(3, 4)
         with pytest.raises(ValueError):
             scatter_info(code, [1, 0])
+
+    @pytest.mark.parametrize("info", [[2, 0, 1, 5], [0, 0, 1, -1]])
+    def test_non_binary_rejected(self, info):
+        code = construct_code(3, 4)
+        with pytest.raises(ValueError, match="info entries must be 0 or 1"):
+            scatter_info(code, info)
 
 
 class TestCrc:

@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from polarsim.costs import (build_ctsn, build_tstsn,
+from polarsim.costs import (ComparatorNetwork, build_ctsn, build_tstsn,
                             channel_combination_additions,
                             ml_detector_additions)
 from polarsim.pruning import full_select, two_stage_select
@@ -48,13 +50,75 @@ class TestNetworkStructure:
         assert net.depth == 0
 
     def test_ctsn_m1_is_single_partial_sorter(self):
-        # one merge level: exactly one ps-2L-to-L block
-        for L in (2, 4, 8):
+        # one merge level: exactly one ps-2L-to-L block, two bitonic sorters
+        # of L wires, one half-cleaning rank and one bitonic merge, with the
+        # survivors on the first block
+        for L in (2, 4, 8, 16):
+            k = L.bit_length() - 1
             net = build_ctsn(1, L)
-            from polarsim.costs import _ps_block_levels
-            block = _ps_block_levels(list(range(L)), list(range(L, 2 * L)))
-            assert net.comparators == sum(len(lvl) for lvl in block)
-            assert net.depth == len([lvl for lvl in block if lvl])
+            assert net.comparators == L * k * (k + 1) // 2 + L + L * k // 2
+            assert net.depth == k * (k + 1) // 2 + 1 + k
+            assert net.outputs == list(range(L))
+
+    def test_ranks_are_derived_from_program_order(self):
+        # each comparator takes the earliest rank after every earlier one on
+        # its wires: (3, 0) joins (1, 2) after (0, 1), and the last, on
+        # wires no earlier comparator touches, joins the first rank
+        net = ComparatorNetwork(6, [(0, 1), (1, 2), (3, 0), (2, 3), (4, 5)],
+                                [0], "toy")
+        assert net.levels == [[(0, 1), (4, 5)], [(1, 2), (3, 0)], [(2, 3)]]
+        assert (net.comparators, net.depth) == (5, 3)
+        assert ComparatorNetwork(3, [], [0], "empty").levels == []
+
+    # (M, L): CTSN (comparators, depth), then TSTSN's for q = 1, 2, 4, .., L
+    PINNED = {
+        (1, 2): ((5, 3), [(3, 2), (7, 4)]),
+        (1, 4): ((20, 6), [(10, 4), (32, 9), (32, 9)]),
+        (1, 8): ((68, 10), [(32, 7), (116, 16), (116, 16), (116, 16)]),
+        (1, 16): ((208, 15), [(96, 11)] + [(368, 25)] * 4),
+        (1, 32): ((592, 21), [(272, 16)] + [(1072, 36)] * 5),
+        (2, 2): ((15, 6), [(7, 3), (15, 6)]),
+        (2, 4): ((60, 12), [(18, 5), (48, 11), (84, 15)]),
+        (2, 8): ((204, 20), [(48, 8), (148, 18), (300, 26), (300, 26)]),
+        (2, 16): ((624, 30), [(128, 12), (432, 27)] + [(944, 40)] * 3),
+        (2, 32): ((1776, 42), [(336, 17), (1200, 38)] + [(2736, 57)] * 4),
+        (3, 2): ((35, 9), [(15, 4), (35, 9)]),
+        (3, 4): ((140, 18), [(34, 6), (88, 14), (140, 18)]),
+        (3, 8): ((476, 30), [(80, 9), (228, 21), (412, 29), (668, 36)]),
+        (3, 16): ((1456, 45), [(192, 13), (592, 30), (1168, 43)]
+                  + [(2096, 55)] * 2),
+        (3, 32): ((4144, 63), [(464, 18), (1520, 41), (3184, 60)]
+                  + [(6064, 78)] * 3),
+        (4, 2): ((75, 12), [(31, 5), (75, 12)]),
+        (4, 4): ((300, 24), [(66, 7), (168, 17), (300, 24)]),
+        (4, 8): ((1020, 40), [(144, 10), (388, 24), (732, 35), (1020, 40)]),
+        (4, 16): ((3120, 60), [(320, 14), (912, 33), (1808, 49), (2800, 59),
+                               (4400, 70)]),
+        (4, 32): ((8880, 84), [(720, 19), (2160, 44), (4464, 66), (7472, 82),
+                               (12720, 99), (12720, 99)]),
+    }
+
+    @pytest.mark.parametrize("M,L", sorted(PINNED))
+    def test_pinned_comparator_counts_and_depths(self, M, L):
+        ctsn, tstsn = self.PINNED[M, L]
+        net = build_ctsn(M, L)
+        assert (net.comparators, net.depth) == ctsn
+        got = [(net.comparators, net.depth)
+               for net in (build_tstsn(M, L, 1 << i)
+                           for i in range(L.bit_length()))]
+        assert got == tstsn
+
+    @pytest.mark.parametrize("net,digest", [
+        (build_ctsn(3, 4), "9fdf8a3eb1ceef8d"),
+        (build_tstsn(3, 8, 2), "8ab0aa9dba88a5bd"),
+        (build_tstsn(4, 8, 4), "b0f5e8275eb32e0d"),
+    ], ids=lambda x: getattr(x, "label", None))
+    def test_pinned_rank_sets(self, net, digest):
+        # the comparators of each rank, in any order within it; a stage-2
+        # merge that keeps its inputs but not its order shows only here,
+        # because the ps blocks after it sort their inputs again
+        ranks = repr([sorted(lvl) for lvl in net.levels]).encode()
+        assert hashlib.sha256(ranks).hexdigest()[:16] == digest
 
     def test_tstsn_dominates_ctsn(self):
         ctsn = build_ctsn(4, 8)

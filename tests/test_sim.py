@@ -196,6 +196,21 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="stage1_keep"):
             SimConfig(decoder="sscl", list_size=4, stage1_keep=q)
 
+    def test_stage1_keep_defaults_to_list_size(self):
+        # the default is the q actually used, and no field the caller left
+        # unset is refused
+        for L in (1, 2, 8):
+            assert SimConfig(decoder="sscl", list_size=L).stage1_keep == L
+        assert SimConfig(decoder="sscl", list_size=8,
+                         stage1_keep=2).stage1_keep == 2
+
+    @pytest.mark.parametrize("n", [-1, 1, 21])
+    def test_rejects_block_exponent_outside_bound(self, n):
+        # checked before the symbol width bound reads 1 << n
+        for decoder in ("sc", "sscl"):
+            with pytest.raises(ValueError, match=r"n must be in \[2, 20\]"):
+                SimConfig(n=n, decoder=decoder)
+
     def test_rejects_cascl_without_crc(self):
         with pytest.raises(ValueError, match="CRC"):
             SimConfig(decoder="cascl", list_size=4, crc_width=0)
@@ -410,6 +425,20 @@ class TestCli:
         with pytest.raises(SystemExit):
             cli_main(["construct", "--n", "1000", "--k", "500"])
         capsys.readouterr()
+
+    @pytest.mark.parametrize("q_flags", [[], ["--q", "2"]])
+    def test_run_config_matches_api(self, q_flags, monkeypatch):
+        # the CLI passes a missing --q through: SimConfig resolves it
+        seen = []
+        monkeypatch.setattr("polarsim.cli.run_campaign",
+                            lambda cfg, code: seen.append(cfg) or [])
+        assert cli_main(RUN + ["--decoder", "sscl", "--list", "8"]
+                        + q_flags) == 0
+        api = SimConfig(n=4, K=8, decoder="sscl", list_size=8,
+                        stage1_keep=int(q_flags[1]) if q_flags else None,
+                        snr_start=4.0, snr_step=0.0, snr_stop=4.0,
+                        max_frames=10)
+        assert seen == [api]
 
     def test_run_sscl_flags(self, tmp_path):
         out = tmp_path / "s.csv"
