@@ -75,22 +75,36 @@ def scatter_info_batch(code, info):
     return u
 
 
+# Standard generator polynomial per CRC width, without the leading 1
+_STANDARD_POLYS = {4: 0x3, 8: 0x07, 12: 0x80F, 16: 0x1021, 24: 0x864CFB,
+                   32: 0x04C11DB7}
+
+
 @dataclass(frozen=True)
 class CrcSpec:
     """CRC parameters: width, generator polynomial and initial register.
 
-    `poly` is the generator mask without the implicit leading 1. Message
-    bits enter the high end of the register; the final register is the CRC.
-    The defaults are CRC-16/CCITT-FALSE.
+    `poly` is the generator mask without the implicit leading 1; None takes
+    the standard polynomial of the width (4, 8, 12, 16, 24 or 32 bits).
+    `init` None starts the register at all ones. Message bits enter the
+    high end of the register; the final register is the CRC. The defaults
+    are CRC-16/CCITT-FALSE.
     """
 
     width: int = 16
-    poly: int = 0x1021
-    init: int = 0xFFFF
+    poly: int | None = None
+    init: int | None = None
 
     def __post_init__(self):
         if not 1 <= self.width <= 32:
             raise ValueError(f"CRC width must be in [1, 32], got {self.width}")
+        if self.poly is None:
+            if self.width not in _STANDARD_POLYS:
+                raise ValueError(f"no standard CRC polynomial for width "
+                                 f"{self.width}; give a polynomial")
+            object.__setattr__(self, "poly", _STANDARD_POLYS[self.width])
+        if self.init is None:
+            object.__setattr__(self, "init", (1 << self.width) - 1)
         if self.poly >> self.width:
             raise ValueError("poly does not fit in width bits")
 
@@ -133,7 +147,7 @@ def verify_crc(block, spec):
     """
     block = np.asarray(block)
     if block.shape[-1] <= spec.width:
-        raise ValueError("block shorter than CRC width")
+        raise ValueError(f"block must be longer than the {spec.width}-bit CRC")
     payload = block[..., : -spec.width]
     expected = int_to_bits(crc_value(payload, spec), spec.width)
     return np.all(block[..., -spec.width :] == expected, axis=-1)

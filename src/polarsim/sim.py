@@ -1,15 +1,16 @@
 """Monte Carlo FER/BER campaigns: frame generation, decoding, aggregation.
 
 Frames are distributed round-robin over `workers` logical streams, each
-backed by its own SeedSequence-spawned generator, and processed in
-vectorized batches of whole rounds, the last one cut at the frame budget.
-The global frame order (round-major, worker-minor) is what early stopping
-is defined on: the run counts every frame up to and including the frame
-that reaches the error budget, so the estimator is the standard unbiased
-fixed-stopping-rule one. Results are byte-reproducible for identical
-configurations: the CSV's wall_seconds column is written as 0 (measured
-time lives on the FerRecord and the console log; file output must not
-depend on the clock).
+backed by its own SeedSequence-spawned generator: frame f of a point is
+drawn by worker f % workers. They are decoded in vectorized batches of
+consecutive frames, 128 unless `batch_rounds` asks for batch_rounds *
+workers, the last one cut at the frame budget. Early stopping is defined
+on the frame order: the run counts every frame up to and including the
+frame that reaches the error budget, so the estimator is the standard
+unbiased fixed-stopping-rule one. Results are byte-reproducible for
+identical configurations: the CSV's wall_seconds column is written as 0
+(measured time lives on the FerRecord and the console log; file output
+must not depend on the clock).
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ class SimConfig:
     frozen_file: str | None = None
     crc_width: int = 0
     crc_poly: int | None = None  # None: standard polynomial for the width
-    batch_rounds: int = 0  # 0 = auto
+    batch_rounds: int = 0  # 0: 128-frame batches, else batch_rounds * W
 
     def __post_init__(self):
         if self.decoder not in DECODERS:
@@ -113,6 +114,8 @@ class SimConfig:
                              f"got {q}")
         if self.decoder == "cascl" and self.crc_width == 0:
             raise ValueError("decoder cascl needs a CRC: set crc_width > 0")
+        if self.crc_width:
+            CrcSpec(self.crc_width, self.crc_poly)
 
     def snr_points(self):
         if self.snr_start == self.snr_stop:
@@ -121,23 +124,10 @@ class SimConfig:
                                / self.snr_step + 1e-9)) + 1
         return [self.snr_start + i * self.snr_step for i in range(count)]
 
-    def crc_spec(self):
-        if self.crc_width == 0:
-            return None
-        poly = self.crc_poly
-        if poly is None:
-            defaults = {4: 0x3, 8: 0x07, 12: 0x80F, 16: 0x1021,
-                        24: 0x864CFB, 32: 0x04C11DB7}
-            if self.crc_width not in defaults:
-                raise ValueError(
-                    f"no default polynomial for width {self.crc_width}; "
-                    f"set crc_poly")
-            poly = defaults[self.crc_width]
-        return CrcSpec(self.crc_width, poly, (1 << self.crc_width) - 1)
-
     def build_code(self):
+        crc = CrcSpec(self.crc_width, self.crc_poly) if self.crc_width else None
         return construct_code(self.n, self.K, design_snr_db=self.design_snr_db,
-                              frozen_file=self.frozen_file, crc=self.crc_spec())
+                              frozen_file=self.frozen_file, crc=crc)
 
 
 @dataclass(frozen=True)
@@ -174,21 +164,15 @@ def _make_decoder(cfg, code):
     return lambda m: decode(m, code, part, cfg)
 
 
-def _auto_rounds(cfg):
-    """Rounds per batch: 128 frames, shared among the workers. List
-    decoders take the same size: their path reorders are lazy, so a larger
-    batch does not cost more per frame."""
-    if cfg.batch_rounds > 0:
-        return cfg.batch_rounds
-    return max(1, 128 // cfg.workers)
-
-
 def run_point(cfg, snr_db, code=None):
     """Estimate FER/BER at one SNR point.
 
     Deterministic for a given (cfg, snr_db): worker streams are spawned from
-    SeedSequence(seed, worker) and consumed in a fixed round order, so the
-    result is independent of batch sizing and identical across runs.
+    SeedSequence(seed, worker) and frame f is drawn by worker f % workers,
+    one frame at a time in frame order, so the result is independent of
+    batch sizing and identical across runs. A batch holds 128 frames, or
+    batch_rounds * workers when batch_rounds is set, so its memory does not
+    grow with the worker count.
     """
     if code is None:
         code = cfg.build_code()
@@ -201,7 +185,7 @@ def run_point(cfg, snr_db, code=None):
     # workers past max_frames never draw: frame f is drawn by worker f % W
     rngs = [np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(w,)))
             for w in range(min(W, cfg.max_frames))]
-    rounds_per_batch = _auto_rounds(cfg)
+    batch = cfg.batch_rounds * W if cfg.batch_rounds > 0 else 128
     crc = code.crc
 
     start = time.perf_counter()
@@ -210,17 +194,17 @@ def run_point(cfg, snr_db, code=None):
     bit_errors = 0
     budget = cfg.max_frames
     while frames < budget:
-        # whole rounds, so batch frame f is worker f % W's; the last batch
-        # stops at the budget, and no stream is read past the final frame
-        count = min(rounds_per_batch * W, budget - frames)
+        # the last batch stops at the budget: no stream is read past the
+        # final frame
+        count = min(batch, budget - frames)
         payloads = np.empty((count, payload_bits), dtype=np.int8)
         noise = np.empty((count, code.N))
         # one (payload, noise) draw pair per frame keeps each worker's stream
-        # consumption independent of how many rounds a batch spans
-        for f in range(count):
-            rng = rngs[f % W]
-            payloads[f] = rng.integers(0, 2, size=payload_bits, dtype=np.int8)
-            noise[f] = rng.standard_normal(code.N)
+        # consumption independent of where the batches are cut
+        for i in range(count):
+            rng = rngs[(frames + i) % W]
+            payloads[i] = rng.integers(0, 2, size=payload_bits, dtype=np.int8)
+            noise[i] = rng.standard_normal(code.N)
         info = attach_crc(payloads, crc) if crc is not None else payloads
         u = scatter_info_batch(code, info)
         x = encode_bits(u, code.n)

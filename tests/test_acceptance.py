@@ -202,6 +202,10 @@ def test_fer_parity_symbol_vs_bit():
             f"FER(scl)={a.fer:.4e} FER(sscl-4)={b.fer:.4e} |diff|={diff:.2e} "
             f"<= 2*SE={2 * se:.2e} over {a.frames} shared-seed frames")
     assert ok
+    # the FER fingerprint: a change to any decision moves these counts
+    for rec in (a, b):
+        assert (rec.frames, rec.frame_errors, rec.bit_errors) == \
+               (5000, 86, 3117)
 
 
 @pytest.mark.slow
@@ -227,6 +231,11 @@ def test_q_degradation_direction():
             f"z={z:.2f} (>1.645), FER(q=4)={p4:.4e} within 2 sigma: {parity4}; "
             f"{frames} frames per point")
     assert ok
+    # the FER fingerprint: a change to any decision moves these counts
+    assert {q: (r.frames, r.frame_errors, r.bit_errors)
+            for q, r in recs.items()} == {8: (20000, 1641, 100322),
+                                          4: (20000, 1642, 100484),
+                                          2: (20000, 1830, 123677)}
 
 
 def test_sorting_network_dominance():

@@ -144,6 +144,26 @@ class TestCrc:
         blocks[..., 3] ^= 1
         assert not verify_crc(blocks, spec).any()
 
+    @pytest.mark.parametrize("width,poly", [
+        (4, 0x3), (8, 0x07), (12, 0x80F), (16, 0x1021), (24, 0x864CFB),
+        (32, 0x04C11DB7)])
+    def test_standard_polynomial_per_width(self, width, poly):
+        # the register starts at all ones unless init is given
+        assert CrcSpec(width) == CrcSpec(width, poly, (1 << width) - 1)
+
+    def test_default_is_ccitt_false(self):
+        assert CrcSpec() == CrcSpec(16, 0x1021, 0xFFFF)
+
+    def test_width_without_standard_polynomial(self):
+        with pytest.raises(ValueError, match="for width 5"):
+            CrcSpec(width=5)
+        assert CrcSpec(width=5, poly=0x15).init == 0x1F
+
+    @pytest.mark.parametrize("nbits", [3, 16])
+    def test_verify_rejects_block_not_longer_than_crc(self, nbits):
+        with pytest.raises(ValueError, match="longer than the 16-bit CRC"):
+            verify_crc(np.zeros(nbits, np.int8), CrcSpec())
+
     def test_width_bounds(self):
         with pytest.raises(ValueError):
             CrcSpec(width=0)

@@ -70,6 +70,12 @@ class TestNetworkStructure:
         assert (net.comparators, net.depth) == (5, 3)
         assert ComparatorNetwork(3, [], [0], "empty").levels == []
 
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_run_rejects_wrong_length(self, length):
+        net = ComparatorNetwork(3, [(0, 1)], [0], "toy")
+        with pytest.raises(ValueError, match="expected 3 input values"):
+            net.run(np.zeros(length))
+
     # (M, L): CTSN (comparators, depth), then TSTSN's for q = 1, 2, 4, .., L
     PINNED = {
         (1, 2): ((5, 3), [(3, 2), (7, 4)]),

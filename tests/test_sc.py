@@ -114,6 +114,10 @@ class TestChannelCombine:
         with pytest.raises(ValueError):
             channel_combine(np.zeros(4), np.zeros(2))
 
+    def test_size_not_power_of_two(self):
+        with pytest.raises(ValueError, match="power of two"):
+            channel_combine(np.zeros(3), np.zeros(3))
+
     def test_exp_domain_product_oracle(self):
         rng = np.random.default_rng(4)
         left = rng.normal(size=(200, 4))

@@ -5,7 +5,7 @@ import pytest
 from polarsim import sim
 from polarsim.cli import main as cli_main
 from polarsim.sim import (CSV_HEADER, MAX_SNR_POINTS, FerRecord, SimConfig,
-                          _auto_rounds, run_campaign, run_point)
+                          run_campaign, run_point)
 
 
 def _small_cfg(**kw):
@@ -13,6 +13,19 @@ def _small_cfg(**kw):
                 seed=9, workers=2)
     base.update(kw)
     return SimConfig(**base)
+
+
+def _decoded_batch_sizes(monkeypatch):
+    """The sizes of the batches that the sc decoder is given, in order."""
+    sizes = []
+    decode = sim._DECODERS["sc"]
+
+    def counted(m, *args):
+        sizes.append(len(m))
+        return decode(m, *args)
+
+    monkeypatch.setitem(sim._DECODERS, "sc", counted)
+    return sizes
 
 
 class TestRunPoint:
@@ -37,39 +50,25 @@ class TestRunPoint:
         assert (a.frames, a.frame_errors, a.bit_errors) == \
                (b.frames, b.frame_errors, b.bit_errors)
 
-    @pytest.mark.parametrize("kw,rounds", [
-        (dict(decoder="sc", list_size=8), 128),
-        (dict(decoder="ssc", list_size=32), 128),
-        (dict(decoder="sc", n=12), 128),
-        (dict(decoder="cascl", list_size=8, crc_width=16), 128),
-        (dict(decoder="sscl", list_size=8, stage1_keep=4), 128),
-        (dict(decoder="scl", list_size=32), 128),
-        (dict(decoder="scl", list_size=8, workers=2), 64),
-        (dict(decoder="sc", workers=3), 42),
-        (dict(decoder="scl", list_size=32, workers=8), 16),
-        (dict(decoder="cascl", list_size=8, crc_width=16, batch_rounds=5), 5),
-        (dict(decoder="sc", workers=200), 1),
+    @pytest.mark.parametrize("kw,sizes", [
+        # 128 frames per batch whatever the worker count, so a batch's
+        # memory does not grow with it
+        (dict(workers=1000, max_frames=1000), [128] * 7 + [104]),
+        (dict(workers=3, max_frames=300), [128, 128, 44]),
+        (dict(workers=2, batch_rounds=5, max_frames=400), [10] * 40),
     ])
-    def test_automatic_batch_size(self, kw, rounds):
-        # 128 frames per batch, shared among the workers, for every decoder:
-        # list decoders reorder their path state lazily
-        cfg = SimConfig(**dict(dict(n=10, K=512, workers=1), **kw))
-        assert _auto_rounds(cfg) == rounds
+    def test_batch_size(self, monkeypatch, kw, sizes):
+        decoded = _decoded_batch_sizes(monkeypatch)
+        run_point(_small_cfg(**kw), 2.0)
+        assert decoded == sizes
 
     @pytest.mark.parametrize("workers,max_frames,batch_rounds", [
         (64, 3, 0), (1000, 2, 0), (5, 13, 2)])
     def test_decodes_only_the_frames_in_budget(self, monkeypatch, workers,
                                                max_frames, batch_rounds):
-        # the last batch stops at the budget, even inside a round: no frame
-        # past it is drawn or decoded
-        sizes = []
-        decode = sim._DECODERS["sc"]
-
-        def counted(m, *args):
-            sizes.append(len(m))
-            return decode(m, *args)
-
-        monkeypatch.setitem(sim._DECODERS, "sc", counted)
+        # the last batch stops at the budget, even inside a worker round: no
+        # frame past it is drawn or decoded
+        sizes = _decoded_batch_sizes(monkeypatch)
         rec = run_point(_small_cfg(workers=workers, max_frames=max_frames,
                                    batch_rounds=batch_rounds), 2.0)
         assert rec.frames == sum(sizes) == max_frames
@@ -186,6 +185,20 @@ class TestConfigValidation:
     def test_rejects_unknown_decoder(self):
         with pytest.raises(ValueError):
             SimConfig(decoder="viterbi")
+
+    def test_rejects_no_workers(self):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            SimConfig(workers=0)
+
+    @pytest.mark.parametrize("kw,cause", [
+        (dict(crc_width=5), "no standard CRC polynomial for width 5"),
+        (dict(crc_width=40), "CRC width must be in"),
+        (dict(crc_width=8, crc_poly=0x1FF), "poly does not fit"),
+    ])
+    def test_rejects_bad_crc_at_construction(self, kw, cause):
+        # before any code is built
+        with pytest.raises(ValueError, match=cause):
+            SimConfig(**kw)
 
     def test_rejects_bad_sweep(self):
         with pytest.raises(ValueError):
@@ -341,6 +354,8 @@ class TestCli:
         RUN64 + ["--k", "32", "--snr", "nan"],
         RUN64 + ["--k", "32", "--snr", "1:nan:3"],
         RUN64 + ["--k", "32", "--max-errors", "-3"],
+        RUN + ["--workers", "0"],
+        RUN + ["--snr", "1:2"],
         # 2^32 * L wires: rejected before any network is built
         ["cost", "--M", "32", "--L", "4", "--q", "2"],
         # output files that cannot be opened
